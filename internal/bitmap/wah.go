@@ -274,13 +274,86 @@ func (v *Vector) Iterate(fn func(pos uint64) bool) {
 }
 
 // Positions returns the positions of all set bits.
-func (v *Vector) Positions() []uint64 {
-	out := make([]uint64, 0, v.Count())
-	v.Iterate(func(p uint64) bool {
-		out = append(out, p)
-		return true
+func (v *Vector) Positions() []uint64 { return v.PositionsRange(0, v.n) }
+
+// PositionsRange returns the positions of the set bits in [lo, hi), in
+// increasing order. Words wholly before lo are skipped without decoding
+// their bits, and the walk stops at the first word at or past hi, so the
+// cost is two passes over the words up to hi (count, then decode) plus
+// the set bits inside the range.
+func (v *Vector) PositionsRange(lo, hi uint64) []uint64 {
+	out := make([]uint64, 0, v.CountRange(lo, hi))
+	v.walkRange(lo, hi, func(at uint64, g uint32) {
+		for g != 0 {
+			out = append(out, at+uint64(bits.TrailingZeros32(g)))
+			g &= g - 1
+		}
+	}, func(from, to uint64) {
+		for p := from; p < to; p++ {
+			out = append(out, p)
+		}
 	})
 	return out
+}
+
+// CountRange returns the number of set bits in [lo, hi), walking the
+// words the way PositionsRange does.
+func (v *Vector) CountRange(lo, hi uint64) uint64 {
+	var c uint64
+	v.walkRange(lo, hi, func(_ uint64, g uint32) {
+		c += uint64(bits.OnesCount32(g))
+	}, func(from, to uint64) {
+		c += to - from
+	})
+	return c
+}
+
+// walkRange visits the set bits of [lo, hi): lit receives each literal
+// group (including the trailing partial group) masked to the range,
+// starting at bit position at; ones receives each run of ones from a
+// one-fill, clipped to [from, to).
+func (v *Vector) walkRange(lo, hi uint64, lit func(at uint64, g uint32), ones func(from, to uint64)) {
+	if hi > v.n {
+		hi = v.n
+	}
+	if lo >= hi {
+		return
+	}
+	// mask keeps the bits of a group starting at `at` that fall in range.
+	mask := func(at uint64, g uint32) uint32 {
+		if at < lo {
+			g &^= uint32(1)<<(lo-at) - 1
+		}
+		if at+groupBits > hi {
+			g &= uint32(1)<<(hi-at) - 1
+		}
+		return g
+	}
+	var at uint64
+	for _, w := range v.words {
+		if at >= hi {
+			return
+		}
+		if w&fillFlag != 0 {
+			span := uint64(w&maxFill) * groupBits
+			if w&fillOne != 0 && at+span > lo {
+				ones(maxU64(at, lo), minU64(at+span, hi))
+			}
+			at += span
+			continue
+		}
+		if at+groupBits > lo {
+			if g := mask(at, w); g != 0 {
+				lit(at, g)
+			}
+		}
+		at += groupBits
+	}
+	if at < hi {
+		if g := mask(at, v.act); g != 0 {
+			lit(at, g)
+		}
+	}
 }
 
 // Equal reports whether two vectors have identical length and bits.

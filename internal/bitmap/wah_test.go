@@ -397,3 +397,47 @@ func TestAndCountClusteredData(t *testing.T) {
 		t.Fatalf("mismatched length AndCount = %d", short.AndCount(long))
 	}
 }
+
+// PositionsRange and CountRange must agree with the reference model for
+// ranges that start and end inside literals, inside fills, on group
+// boundaries, in the trailing partial group, and past the end.
+func TestPositionsRangeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	vectors := []refBits{
+		randomBits(rng, 1000, 0.3),
+		clusteredBits(rng, 5000),
+		randomBits(rng, 31*40, 0.001),
+		append(make(refBits, 31*100), randomBits(rng, 17, 0.5)...),
+		{},
+	}
+	for vi, r := range vectors {
+		v := toVector(r)
+		n := uint64(len(r))
+		bounds := []uint64{0, 1, 30, 31, 32, 62, n / 3, n / 2, n - min(n, 1), n, n + 5}
+		for i := 0; i < 20; i++ {
+			bounds = append(bounds, uint64(rng.Int63n(int64(n)+1)))
+		}
+		for _, lo := range bounds {
+			for _, hi := range bounds {
+				var want []uint64
+				for p := lo; p < hi && p < n; p++ {
+					if r[p] {
+						want = append(want, p)
+					}
+				}
+				got := v.PositionsRange(lo, hi)
+				if len(got) != len(want) {
+					t.Fatalf("vector %d [%d,%d): %d positions, want %d", vi, lo, hi, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("vector %d [%d,%d): position %d = %d, want %d", vi, lo, hi, i, got[i], want[i])
+					}
+				}
+				if c := v.CountRange(lo, hi); c != uint64(len(want)) {
+					t.Fatalf("vector %d [%d,%d): CountRange = %d, want %d", vi, lo, hi, c, len(want))
+				}
+			}
+		}
+	}
+}

@@ -117,16 +117,24 @@ func (ev *Evaluator) Eval(e query.Expr) (*bitmap.Vector, error) {
 
 // EvalCtx is Eval with cooperative cancellation: ctx is observed between
 // boolean terms and inside candidate-check loops, so a canceled query
-// stops within one checkpoint interval. Each top-level evaluation records
-// one "bitmap-eval" span and feeds the fastbit_* instruments.
+// stops within one checkpoint interval.
 func (ev *Evaluator) EvalCtx(ctx context.Context, e query.Expr) (*bitmap.Vector, error) {
+	return ev.evalRows(ctx, e, 0, ev.N)
+}
+
+// evalRows evaluates e exactly for the records in [lo, hi): candidate
+// checks (and the raw reads behind them) cover only boundary-bin records
+// inside the range. The returned bitmap spans all N records, but its bits
+// outside [lo, hi) are unspecified. Each top-level evaluation records one
+// "bitmap-eval" span and feeds the fastbit_* instruments.
+func (ev *Evaluator) evalRows(ctx context.Context, e query.Expr, lo, hi uint64) (*bitmap.Vector, error) {
 	ctx, sp := obs.StartSpan(ctx, "bitmap-eval")
 	start := time.Now()
 	statsBefore := ev.Stats
-	v, err := ev.evalCtx(ctx, e)
+	v, err := ev.evalCtx(ctx, e, lo, hi)
 	metricEvalSeconds.ObserveSince(start)
 	metricEvals.Inc()
-	metricEvalRows.Add(ev.N)
+	metricEvalRows.Add(hi - lo)
 	checks := ev.Stats.CandidateChecks - statsBefore.CandidateChecks
 	metricCandidateChecks.Add(checks)
 	ev.Cost.AddCandidateChecks(checks)
@@ -134,32 +142,34 @@ func (ev *Evaluator) EvalCtx(ctx context.Context, e query.Expr) (*bitmap.Vector,
 		(ev.Stats.BoundaryBins - statsBefore.BoundaryBins)))
 	ev.Cost.AddApproxRows(ev.Stats.ApproxRows - statsBefore.ApproxRows)
 	if sp != nil {
-		sp.SetAttr("rows", strconv.FormatUint(ev.N, 10))
+		sp.SetAttr("rows", strconv.FormatUint(hi-lo, 10))
 		sp.SetAttr("candidate_checks", strconv.FormatUint(checks, 10))
 		if v != nil {
-			sp.SetAttr("hits", strconv.FormatUint(v.Count(), 10))
+			sp.SetAttr("hits", strconv.FormatUint(v.CountRange(lo, hi), 10))
 		}
 		sp.End()
 	}
 	return v, err
 }
 
-// evalCtx is the recursive evaluation body behind EvalCtx.
-func (ev *Evaluator) evalCtx(ctx context.Context, e query.Expr) (*bitmap.Vector, error) {
+// evalCtx is the recursive evaluation body behind evalRows. Every
+// combinator is bitwise, so a result exact inside [lo, hi) stays exact
+// there through And, Or and Not.
+func (ev *Evaluator) evalCtx(ctx context.Context, e query.Expr, lo, hi uint64) (*bitmap.Vector, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	switch t := e.(type) {
 	case *query.Compare:
-		return ev.evalCompare(ctx, t)
+		return ev.evalCompare(ctx, t, lo, hi)
 	case *query.In:
-		return ev.evalIn(ctx, t)
+		return ev.evalIn(ctx, t, lo, hi)
 	case *query.And:
-		return ev.evalAnd(ctx, t.Terms)
+		return ev.evalAnd(ctx, t.Terms, lo, hi)
 	case *query.Or:
-		return ev.evalNary(ctx, t.Terms, func(a, b *bitmap.Vector) *bitmap.Vector { return a.Or(b) })
+		return ev.evalNary(ctx, t.Terms, lo, hi, func(a, b *bitmap.Vector) *bitmap.Vector { return a.Or(b) })
 	case *query.Not:
-		inner, err := ev.evalCtx(ctx, t.Term)
+		inner, err := ev.evalCtx(ctx, t.Term, lo, hi)
 		if err != nil {
 			return nil, err
 		}
@@ -170,15 +180,16 @@ func (ev *Evaluator) evalCtx(ctx context.Context, e query.Expr) (*bitmap.Vector,
 }
 
 // evalAnd evaluates a conjunction with an empty-result short circuit:
-// once the running intersection has no bits set, the remaining terms'
-// bitmaps (and especially their candidate checks) are never computed.
-func (ev *Evaluator) evalAnd(ctx context.Context, terms []query.Expr) (*bitmap.Vector, error) {
+// once the running intersection has no bits set inside the range, the
+// remaining terms' bitmaps (and especially their candidate checks) are
+// never computed.
+func (ev *Evaluator) evalAnd(ctx context.Context, terms []query.Expr, lo, hi uint64) (*bitmap.Vector, error) {
 	if len(terms) == 0 {
 		return nil, fmt.Errorf("fastbit: empty boolean term list")
 	}
 	var acc *bitmap.Vector
 	for _, t := range terms {
-		v, err := ev.evalCtx(ctx, t)
+		v, err := ev.evalCtx(ctx, t, lo, hi)
 		if err != nil {
 			return nil, err
 		}
@@ -187,7 +198,7 @@ func (ev *Evaluator) evalAnd(ctx context.Context, terms []query.Expr) (*bitmap.V
 		} else {
 			acc = acc.And(v)
 		}
-		if acc.Count() == 0 {
+		if acc.CountRange(lo, hi) == 0 {
 			// Preserve the full record length for downstream ops.
 			empty := bitmap.New(ev.N)
 			empty.AppendRun(false, ev.N)
@@ -197,10 +208,10 @@ func (ev *Evaluator) evalAnd(ctx context.Context, terms []query.Expr) (*bitmap.V
 	return acc, nil
 }
 
-func (ev *Evaluator) evalNary(ctx context.Context, terms []query.Expr, combine func(a, b *bitmap.Vector) *bitmap.Vector) (*bitmap.Vector, error) {
+func (ev *Evaluator) evalNary(ctx context.Context, terms []query.Expr, lo, hi uint64, combine func(a, b *bitmap.Vector) *bitmap.Vector) (*bitmap.Vector, error) {
 	var acc *bitmap.Vector
 	for _, t := range terms {
-		v, err := ev.evalCtx(ctx, t)
+		v, err := ev.evalCtx(ctx, t, lo, hi)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +227,7 @@ func (ev *Evaluator) evalNary(ctx context.Context, terms []query.Expr, combine f
 	return acc, nil
 }
 
-func (ev *Evaluator) evalCompare(ctx context.Context, c *query.Compare) (*bitmap.Vector, error) {
+func (ev *Evaluator) evalCompare(ctx context.Context, c *query.Compare, lo, hi uint64) (*bitmap.Vector, error) {
 	_, lsp := obs.StartSpan(ctx, "index-load")
 	lsp.SetAttr("var", c.Var)
 	ix, err := ev.index(c.Var)
@@ -225,7 +236,7 @@ func (ev *Evaluator) evalCompare(ctx context.Context, c *query.Compare) (*bitmap
 		return nil, err
 	}
 	if c.Op == query.NE {
-		eqv, err := ev.evalCompare(ctx, &query.Compare{Var: c.Var, Op: query.EQ, Value: c.Value})
+		eqv, err := ev.evalCompare(ctx, &query.Compare{Var: c.Var, Op: query.EQ, Value: c.Value}, lo, hi)
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +255,7 @@ func (ev *Evaluator) evalCompare(ctx context.Context, c *query.Compare) (*bitmap
 	if ev.Approx {
 		v, st, err = ix.EvaluateApproxCtx(cctx, iv)
 	} else {
-		v, st, err = ix.EvaluateCtx(cctx, iv, ev.rawFor(c.Var))
+		v, st, err = ix.EvaluateCtx(cctx, iv, ev.rawFor(c.Var), lo, hi)
 	}
 	if csp != nil {
 		csp.SetAttr("checks", strconv.FormatUint(st.CandidateChecks, 10))
@@ -256,8 +267,9 @@ func (ev *Evaluator) evalCompare(ctx context.Context, c *query.Compare) (*bitmap
 
 // evalIn resolves a membership condition. The identifier column uses the
 // dedicated ID index; any other variable is resolved through its range
-// index with a single grouped candidate check.
-func (ev *Evaluator) evalIn(ctx context.Context, in *query.In) (*bitmap.Vector, error) {
+// index with a single grouped candidate check over the records of the
+// candidate bins inside [lo, hi).
+func (ev *Evaluator) evalIn(ctx context.Context, in *query.In, lo, hi uint64) (*bitmap.Vector, error) {
 	if in.Var == ev.IDVar {
 		if idIdx := ev.idIndex(); idIdx != nil {
 			ids := make([]int64, len(in.Values))
@@ -312,7 +324,7 @@ func (ev *Evaluator) evalIn(ctx context.Context, in *query.In) (*bitmap.Vector, 
 		ev.Stats.ApproxRows += v.Count()
 		return v, nil
 	}
-	positions := bitmap.OrAll(cand).Positions()
+	positions := bitmap.OrAll(cand).PositionsRange(lo, hi)
 	ev.Stats.CandidateChecks += uint64(len(positions))
 	values, err := ev.rawFor(in.Var)(positions)
 	if err != nil {
@@ -364,16 +376,21 @@ func (ev *Evaluator) CountCtx(ctx context.Context, e query.Expr) (uint64, error)
 
 // Select returns the sorted record positions matching e.
 func (ev *Evaluator) Select(e query.Expr) ([]uint64, error) {
-	return ev.SelectCtx(context.Background(), e)
+	return ev.SelectCtx(context.Background(), e, 0, ev.N)
 }
 
-// SelectCtx is Select with cooperative cancellation.
-func (ev *Evaluator) SelectCtx(ctx context.Context, e query.Expr) ([]uint64, error) {
-	v, err := ev.EvalCtx(ctx, e)
+// SelectCtx returns the sorted positions in [lo, hi) of the records
+// matching e, with cooperative cancellation. Evaluation pays only for the
+// range: candidate checks, their raw reads, and the final bitmap decode
+// cover [lo, hi) alone. The whole step is the range [0, N).
+func (ev *Evaluator) SelectCtx(ctx context.Context, e query.Expr, lo, hi uint64) ([]uint64, error) {
+	hi = min(hi, ev.N)
+	lo = min(lo, hi)
+	v, err := ev.evalRows(ctx, e, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return v.Positions(), nil
+	return v.PositionsRange(lo, hi), nil
 }
 
 // SelectIDs returns the identifiers of records matching e, read from the
@@ -384,7 +401,7 @@ func (ev *Evaluator) SelectIDs(e query.Expr) ([]int64, error) {
 
 // SelectIDsCtx is SelectIDs with cooperative cancellation.
 func (ev *Evaluator) SelectIDsCtx(ctx context.Context, e query.Expr) ([]int64, error) {
-	pos, err := ev.SelectCtx(ctx, e)
+	pos, err := ev.SelectCtx(ctx, e, 0, ev.N)
 	if err != nil {
 		return nil, err
 	}

@@ -134,12 +134,16 @@ type EvalStats struct {
 // consulted only for records in boundary bins; it may be nil when the
 // interval is aligned with bin boundaries.
 func (ix *Index) Evaluate(iv query.Interval, raw RawValues) (*bitmap.Vector, EvalStats, error) {
-	return ix.EvaluateCtx(context.Background(), iv, raw)
+	return ix.EvaluateCtx(context.Background(), iv, raw, 0, ix.N)
 }
 
-// EvaluateCtx is Evaluate with cooperative cancellation: the candidate
-// check loop observes ctx every checkpointRows records.
-func (ix *Index) EvaluateCtx(ctx context.Context, iv query.Interval, raw RawValues) (*bitmap.Vector, EvalStats, error) {
+// EvaluateCtx is Evaluate restricted to the records in [lo, hi), with
+// cooperative cancellation: the candidate check loop observes ctx every
+// checkpointRows records. Only boundary-bin records inside the range are
+// gathered and checked (st.CandidateChecks counts just those), so the
+// returned bitmap is exact inside [lo, hi); outside it, boundary-bin
+// records are left unset. The whole column is the range [0, N).
+func (ix *Index) EvaluateCtx(ctx context.Context, iv query.Interval, raw RawValues, lo, hi uint64) (*bitmap.Vector, EvalStats, error) {
 	var st EvalStats
 	nb := ix.Bins()
 	min, max := ix.Min(), ix.Max()
@@ -198,8 +202,7 @@ func (ix *Index) EvaluateCtx(ctx context.Context, iv query.Interval, raw RawValu
 	for i, b := range boundary {
 		cand[i] = ix.Bitmaps[b]
 	}
-	candBits := bitmap.OrAll(cand)
-	positions := candBits.Positions()
+	positions := bitmap.OrAll(cand).PositionsRange(lo, hi)
 	st.CandidateChecks = uint64(len(positions))
 	values, err := raw(positions)
 	if err != nil {

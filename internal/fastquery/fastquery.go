@@ -356,21 +356,43 @@ func (st *Step) Select(e query.Expr, b Backend) ([]uint64, error) {
 
 // SelectCtx is Select with cooperative cancellation: both backends observe
 // ctx at periodic checkpoints, so a canceled query stops within one
-// checkpoint interval (scan.CheckpointRows rows).
+// checkpoint interval (scan.CheckpointRows rows). It is SelectRangeCtx
+// over the whole step.
 func (st *Step) SelectCtx(ctx context.Context, e query.Expr, b Backend) ([]uint64, error) {
+	return st.SelectRangeCtx(ctx, e, b, 0, st.Rows())
+}
+
+// SelectRangeCtx returns the sorted positions in [lo, hi) of the records
+// matching e. Both backends pay only for the range: the FastBit backend
+// candidate-checks and decodes only the range's records, and the Scan
+// backend evaluates only the range's slice of the loaded columns. hi is
+// clamped to the step's row count.
+func (st *Step) SelectRangeCtx(ctx context.Context, e query.Expr, b Backend, lo, hi uint64) ([]uint64, error) {
+	hi = min(hi, st.Rows())
+	lo = min(lo, hi)
 	switch b {
 	case FastBit:
 		ev, err := st.evaluator(ctx)
 		if err != nil {
 			return nil, err
 		}
-		return ev.SelectCtx(ctx, e)
+		return ev.SelectCtx(ctx, e, lo, hi)
 	case Scan:
 		cols, err := st.loadScanColumns(ctx, e)
 		if err != nil {
 			return nil, err
 		}
-		return scan.SelectCtx(ctx, cols, e)
+		for v, col := range cols {
+			cols[v] = col[lo:hi]
+		}
+		pos, err := scan.SelectCtx(ctx, cols, e)
+		if err != nil {
+			return nil, err
+		}
+		for i := range pos {
+			pos[i] += lo
+		}
+		return pos, nil
 	default:
 		return nil, fmt.Errorf("fastquery: unknown backend %v", b)
 	}

@@ -14,7 +14,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/fastquery"
 	"repro/internal/histogram"
@@ -62,10 +61,7 @@ func Eval(ctx context.Context, st *fastquery.Step, f plan.Fragment) (*plan.Fragm
 		if err != nil {
 			return nil, err
 		}
-		// Clone: selectRange may return a sub-slice of a shared buffer, and
-		// cached fragment results must not alias each other's backing arrays.
-		sel := append([]uint64(nil), pos...)
-		return &plan.FragmentResult{Sel: sel, Count: uint64(len(sel))}, nil
+		return &plan.FragmentResult{Sel: pos, Count: uint64(len(pos))}, nil
 
 	case plan.FragMinMax:
 		pos, err := selectRange(ctx, st, expr, f.Backend, f.Rows)
@@ -152,36 +148,24 @@ func rangeSize(st *fastquery.Step, rr plan.RowRange) uint64 {
 	return rr.Hi - rr.Lo
 }
 
-// selectRange returns the sorted matching row positions clipped to the
+// selectRange returns the sorted matching row positions inside the
 // fragment's row range. With no condition it is every position in the
-// range. Both backends return ascending positions, so the clip is two
-// binary searches.
+// range. Evaluation itself is range-limited, so a shard pays for its own
+// rows only.
 func selectRange(ctx context.Context, st *fastquery.Step, expr query.Expr, b fastquery.Backend, rr plan.RowRange) ([]uint64, error) {
-	if expr == nil {
-		lo, hi := rr.Lo, rr.Hi
-		if rr.Whole() {
-			hi = st.Rows()
-		}
-		if hi > st.Rows() {
-			hi = st.Rows()
-		}
-		if hi <= lo {
-			return nil, nil
-		}
-		pos := make([]uint64, hi-lo)
-		for i := range pos {
-			pos[i] = lo + uint64(i)
-		}
-		return pos, nil
+	lo, hi := rr.Lo, rr.Hi
+	if rr.Whole() || hi > st.Rows() {
+		hi = st.Rows()
 	}
-	pos, err := st.SelectCtx(ctx, expr, b)
-	if err != nil {
-		return nil, err
+	if expr != nil {
+		return st.SelectRangeCtx(ctx, expr, b, lo, hi)
 	}
-	if rr.Whole() {
-		return pos, nil
+	if hi <= lo {
+		return nil, nil
 	}
-	lo := sort.Search(len(pos), func(i int) bool { return pos[i] >= rr.Lo })
-	hi := sort.Search(len(pos), func(i int) bool { return pos[i] >= rr.Hi })
-	return pos[lo:hi], nil
+	pos := make([]uint64, hi-lo)
+	for i := range pos {
+		pos[i] = lo + uint64(i)
+	}
+	return pos, nil
 }

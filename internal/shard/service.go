@@ -2,9 +2,7 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"runtime/debug"
 	"sync"
@@ -49,23 +47,20 @@ type ExecReply struct {
 	// It rides the reply, never the cacheable Result, so a cache-served
 	// fragment correctly reports zero cost.
 	Prof *plan.FragProfile
-	// Sum is a content checksum over Result (SumOK marks it present).
-	// net/rpc's gob stream carries no payload integrity of its own: a
-	// flipped byte inside a float or count payload decodes "successfully"
-	// and would merge into a silently wrong answer. The client recomputes
-	// the sum and treats a mismatch as transport corruption.
-	Sum   uint32
-	SumOK bool
-}
-
-// resultSum checksums a fragment result over its canonical JSON encoding
-// (deterministic: sorted map keys, fixed struct field order on both ends).
-func resultSum(res *plan.FragmentResult) (uint32, bool) {
-	b, err := json.Marshal(res)
-	if err != nil {
-		return 0, false
-	}
-	return crc32.ChecksumIEEE(b), true
+	// CRC is a content checksum over Result (see resultSum for the byte
+	// layout); CRCOK marks it present. net/rpc's gob stream carries no
+	// payload integrity of its own: a flipped byte inside a float or count
+	// payload decodes "successfully" and would merge into a silently wrong
+	// answer. The client recomputes the sum and treats a mismatch as
+	// transport corruption.
+	//
+	// The fields are deliberately not named Sum/SumOK, the names of the
+	// earlier checksum over the result's JSON encoding: gob matches fields
+	// by name, so during a rolling upgrade an old worker's reply decodes
+	// here as "no checksum" (skipped, not rejected as corrupt), and an old
+	// client ignores the new fields the same way.
+	CRC   uint32
+	CRCOK bool
 }
 
 // StatsArgs is the (empty) request of Shard.Stats.
@@ -133,7 +128,7 @@ func (s *Service) Exec(args *ExecArgs, reply *ExecReply) (err error) {
 		// A cached answer costs a map lookup; serve it even on a spent
 		// budget — it is faster than explaining the shed.
 		reply.Result, reply.Cached = res, true
-		reply.Sum, reply.SumOK = resultSum(res)
+		reply.CRC, reply.CRCOK = resultSum(res), true
 		if fp := prof(); fp != nil {
 			fp.Cached, fp.CacheSource = true, "fragment"
 			reply.Prof = fp
@@ -191,7 +186,7 @@ func (s *Service) Exec(args *ExecArgs, reply *ExecReply) (err error) {
 		return err
 	}
 	reply.Result = res
-	reply.Sum, reply.SumOK = resultSum(res)
+	reply.CRC, reply.CRCOK = resultSum(res), true
 	return nil
 }
 
