@@ -13,8 +13,9 @@
 // each node count is the makespan of its assignment — a faithful model of
 // a distributed-memory machine with independent nodes, evaluated for 1 to
 // 100 nodes regardless of local core count. Pass -real-rpc to also run
-// the work over actual net/rpc worker processes for the node counts that
-// fit the local machine.
+// the work over in-process shard workers on loopback net/rpc for the node
+// counts that fit the local machine: step t goes to shard t mod n as one
+// whole-step fragment, the serving tier's Shard.Exec protocol.
 //
 // Usage:
 //
@@ -23,6 +24,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -30,14 +33,16 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/cluster/faultnet"
 	"repro/internal/fastquery"
 	"repro/internal/histogram"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/report"
+	"repro/internal/shard"
 )
 
 func main() {
@@ -53,14 +58,9 @@ func main() {
 		bwMBs     = flag.Float64("io-bandwidth", 0, "modelled per-node I/O bandwidth in MB/s (0 = off)")
 		seekMs    = flag.Float64("io-seek", 0, "modelled per-seek latency in ms")
 		assignStr = flag.String("assign", "strided", "strided | blocked timestep assignment")
-		realRPC   = flag.Bool("real-rpc", false, "also execute over net/rpc workers where the node count fits")
+		realRPC   = flag.Bool("real-rpc", false, "also execute over net/rpc shard workers where the node count fits")
 		schedules = flag.Bool("schedules", false, "also compare static/dynamic/LPT scheduling (ablation)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		faults    = flag.Bool("faults", false, "run the fault-injection resilience demo instead of the scaling studies")
-		faultErr  = flag.Float64("fault-err", 0.2, "with -faults: per-I/O-op injected error probability on faulty workers")
-		faultDrop = flag.Float64("fault-drop", 0.02, "with -faults: per-I/O-op connection-drop probability on faulty workers")
-		faultLat  = flag.Float64("fault-latency", 2, "with -faults: injected latency per I/O op in ms on faulty workers")
-		faultSeed = flag.Int64("fault-seed", 1, "with -faults: fault-schedule RNG seed")
 	)
 	flag.Parse()
 	if *data == "" {
@@ -94,17 +94,6 @@ func main() {
 			BandwidthBytesPerSec: *bwMBs * 1e6,
 			SeekLatency:          time.Duration(*seekMs * float64(time.Millisecond)),
 		},
-	}
-	if *faults {
-		if err := b.faultStudy(faultnet.Config{
-			Seed:     *faultSeed,
-			ErrProb:  *faultErr,
-			DropProb: *faultDrop,
-			Latency:  time.Duration(*faultLat * float64(time.Millisecond)),
-		}); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 	switch *exp {
 	case "hist":
@@ -260,31 +249,21 @@ func (b *bench) histStudy() error {
 }
 
 // rpcHistStudy repeats the conditional FastBit histogram sweep over real
-// net/rpc workers for the feasible node counts.
+// shard workers on loopback net/rpc for the feasible node counts.
 func (b *bench) rpcHistStudy(cond query.Expr) error {
-	steps := make([]int, b.src.Steps())
-	for i := range steps {
-		steps[i] = i
-	}
 	table := report.NewTable("Fig 14 (real net/rpc execution) — FastBit conditional histograms",
 		"nodes", "wall_s")
 	for _, n := range b.nodes {
 		if n > 2*b.src.Steps() {
 			continue
 		}
-		addrs, shutdown, err := cluster.StartLocalWorkers(n, b.dir)
+		c, shutdown, err := startShards(n, b.dir)
 		if err != nil {
-			return err
-		}
-		pool, err := cluster.Dial(addrs)
-		if err != nil {
-			shutdown()
 			return err
 		}
 		start := time.Now()
-		_, err = pool.HistogramSweep(steps, cond.String(), histPairs(b.bins)[4], fastquery.FastBit)
+		_, err = stridedSweep(c, b.src.Steps(), cond.String(), histPairs(b.bins)[4], fastquery.FastBit)
 		wall := time.Since(start)
-		pool.Close()
 		shutdown()
 		if err != nil {
 			return err
@@ -292,6 +271,55 @@ func (b *bench) rpcHistStudy(cond query.Expr) error {
 		table.AddRow(fmt.Sprintf("%d", n), report.Seconds(wall))
 	}
 	return b.emit(table)
+}
+
+// sweepDataset is the name the real-RPC study's shard workers serve the
+// dataset under.
+const sweepDataset = "data"
+
+// startShards starts n in-process shard workers over dir, without
+// fragment caches, and dials them. The returned func closes the client
+// and the workers.
+func startShards(n int, dir string) (*shard.Client, func(), error) {
+	groups, stop, err := shard.StartLocalShards(n, map[string]string{sweepDataset: dir}, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	c, err := shard.DialShards(groups, cluster.DefaultPoolConfig(), 0)
+	if err != nil {
+		stop()
+		return nil, nil, err
+	}
+	return c, func() { c.Close(); stop() }, nil
+}
+
+// stridedSweep computes one histogram per step of [0, steps): step t is
+// one whole-step fragment on shard t mod Shards() — the paper's static
+// strided assignment — and every step is in flight at once.
+func stridedSweep(c *shard.Client, steps int, cond string, spec histogram.Spec2D, backend fastquery.Backend) ([]*histogram.Hist2D, error) {
+	out := make([]*histogram.Hist2D, steps)
+	errs := make([]error, steps)
+	var wg sync.WaitGroup
+	for t := 0; t < steps; t++ {
+		wg.Add(1)
+		go func(t int) {
+			defer wg.Done()
+			res, err := c.RunFragment(context.Background(), t%c.Shards(), plan.Fragment{
+				Op: plan.FragWhole2D, Dataset: sweepDataset, Step: t,
+				Query: cond, Backend: backend, Spec2: spec,
+			})
+			if err != nil {
+				errs[t] = fmt.Errorf("step %d: %w", t, err)
+				return
+			}
+			out[t] = res.Hist2
+		}(t)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // trackIDSet selects ~targetHits particles at the last timestep.

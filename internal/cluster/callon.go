@@ -16,6 +16,21 @@ import (
 // replica is raced against the slow first attempt, the Google "tail at
 // scale" trade of a little extra work for a much tighter p99.
 
+// remoteTracer is implemented by replies that carry the worker-side span
+// tree of a traced call. CallOn grafts it under the rpc-worker span of the
+// attempt that produced it, so the remote work sits beside the wall time
+// of the attempt that did it.
+type remoteTracer interface {
+	RemoteTrace() *obs.SpanData
+}
+
+// graftRemote attaches a traced reply's worker-side span tree to sp.
+func graftRemote(sp *obs.Span, reply any) {
+	if rt, ok := reply.(remoteTracer); ok {
+		sp.AttachRemote(rt.RemoteTrace())
+	}
+}
+
 // CallOn makes one RPC with the pool's resilience machinery: the primary
 // (by index, ring order) is tried first, then the remaining healthy
 // workers per MaxFailovers. With hedge > 0 and more than one candidate,
@@ -59,6 +74,8 @@ func (p *Pool) CallOn(ctx context.Context, primary int, method string, args, rep
 		p.account(cs)
 		if err != nil {
 			wsp.SetAttr("error", err.Error())
+		} else {
+			graftRemote(wsp, reply)
 		}
 		wsp.End()
 		c.breakerRecord(err, ctx.Err() != nil)
@@ -123,6 +140,8 @@ func (p *Pool) callHedged(ctx context.Context, cands []*Caller, method string, a
 			p.account(cs)
 			if err != nil {
 				wsp.SetAttr("error", err.Error())
+			} else {
+				graftRemote(wsp, r)
 			}
 			wsp.End()
 			c.breakerRecord(err, hctx.Err() != nil)

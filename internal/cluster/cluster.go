@@ -17,6 +17,11 @@
 // An optional I/O cost model adds per-task disk time (bytes/bandwidth +
 // seeks·latency), standing in for the Lustre filesystem the paper's runs
 // read from.
+//
+// The package also holds the RPC transport that real multi-node runs use:
+// Server on the worker side, Pool and Caller on the client side, with
+// timeouts, retries, failover, hedging, circuit breakers and health
+// probing. Shard workers serve plan fragments over it (package shard).
 package cluster
 
 import (

@@ -1,7 +1,8 @@
 // Package faultnet wraps net.Listener and net.Conn with deterministic
 // fault injection — connection drops, injected I/O errors and fixed or
 // random latency, each with a configurable probability — so the cluster
-// layer's retry, failover and partial-result machinery can be exercised
+// transport's retry and failover machinery, and the planner's partial
+// merges above it, can be exercised
 // under repeatable adverse conditions (the fabbench approach: prove the
 // resilience code works by making the network misbehave on demand).
 //

@@ -18,7 +18,7 @@ var (
 	metricReconnects = obs.Default().Counter("cluster_reconnects_total",
 		"Re-dials of previously working worker connections.")
 	metricFailovers = obs.Default().Counter("cluster_failovers_total",
-		"Sweep steps moved to another worker after their home worker failed.")
+		"Calls moved to another worker after their primary worker failed.")
 	metricProbes = obs.Default().Counter("cluster_probes_total",
 		"Health pings sent to unhealthy workers.")
 	metricRecoveries = obs.Default().Counter("cluster_recoveries_total",

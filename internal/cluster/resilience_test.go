@@ -1,310 +1,57 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"net"
+	"net/rpc"
 	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/cluster/faultnet"
 	"repro/internal/fastquery"
-	"repro/internal/histogram"
+	"repro/internal/obs"
 )
 
-// faultyCluster starts three workers over the shared test dataset:
-// worker 0 clean, worker 1 behind a fault injector, worker 2 behind a
-// latency injector whose Kill method simulates the node dying. It returns
-// the addresses, worker 2's listener (for killing) and a cleanup func.
-func faultyCluster(t *testing.T, w1cfg faultnet.Config) (addrs []string, victim *faultnet.Listener, cleanup func()) {
-	t.Helper()
-	dir := rpcDataset(t)
-	var servers []*Server
-	var fls []*faultnet.Listener
-	cleanup = func() {
-		for _, s := range servers {
-			s.Close()
-		}
-		for _, fl := range fls {
-			fl.Kill()
-		}
+// testService is a test-only receiver served beside Worker.Ping. Its
+// replies carry a worker-side span tree the way the shard fragment
+// service's do, and Fatal fails the way a bad request does on every node.
+type testService struct{}
+
+// EchoArgs is testService's request; TraceID propagates the caller's
+// trace like the fragment protocol's ExecArgs.TraceID.
+type EchoArgs struct{ TraceID string }
+
+// EchoReply carries the worker-side span tree when a trace ID was sent.
+type EchoReply struct{ Trace *obs.SpanData }
+
+// RemoteTrace lets CallOn graft the worker-side tree into the caller's.
+func (r *EchoReply) RemoteTrace() *obs.SpanData { return r.Trace }
+
+// Echo answers with a worker-side trace holding one stage span.
+func (testService) Echo(args *EchoArgs, reply *EchoReply) error {
+	if args.TraceID == "" {
+		return nil
 	}
-	for i := 0; i < 3; i++ {
-		srv, err := NewServer(NewWorker(dir))
-		if err != nil {
-			cleanup()
-			t.Fatal(err)
-		}
-		servers = append(servers, srv)
-		inner, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			cleanup()
-			t.Fatal(err)
-		}
-		var l net.Listener = inner
-		switch i {
-		case 1:
-			fl := faultnet.Wrap(inner, w1cfg)
-			fls = append(fls, fl)
-			l = fl
-		case 2:
-			// Injected latency keeps worker 2's calls in flight long
-			// enough that killing it mid-sweep is deterministic.
-			fl := faultnet.Wrap(inner, faultnet.Config{Seed: 2, Latency: 10 * time.Millisecond})
-			fls = append(fls, fl)
-			victim = fl
-			l = fl
-		}
-		srv.Serve(l)
-		addrs = append(addrs, inner.Addr().String())
-	}
-	return addrs, victim, cleanup
+	tr := obs.NewTrace(args.TraceID, "worker:echo")
+	_, sp := obs.StartSpan(obs.ContextWithSpan(context.Background(), tr.Root()), "worker-stage")
+	sp.End()
+	tr.Root().End()
+	reply.Trace = tr.Data()
+	return nil
 }
 
-// wantHists computes the reference histograms locally.
-func wantHists(t *testing.T, spec histogram.Spec2D) []*histogram.Hist2D {
-	t.Helper()
-	src, err := fastquery.Open(rpcDataset(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]*histogram.Hist2D, src.Steps())
-	for s := 0; s < src.Steps(); s++ {
-		st, err := src.OpenStep(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[s], err = st.Histogram2D(nil, spec, fastquery.FastBit)
-		st.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return want
+// Fatal refuses every request with a fatal-classified error.
+func (testService) Fatal(args *EchoArgs, reply *EchoReply) error {
+	return fastquery.Fatalf("bad request")
 }
 
-func sameHist(a, b *histogram.Hist2D) bool {
-	if a == nil || b == nil || len(a.Counts) != len(b.Counts) {
-		return false
-	}
-	for i := range a.Counts {
-		if a.Counts[i] != b.Counts[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sweepSteps builds a ≥16-entry step list cycling over the dataset's
-// timesteps (sweeps accept repeated steps).
-func sweepSteps(n, steps int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i % steps
-	}
-	return out
-}
-
-// TestFaultySweepFailover is the acceptance scenario: a 20-step histogram
-// sweep completes with full, correct results while worker 2 is killed
-// mid-sweep and worker 1 suffers 20% injected call failures.
-func TestFaultySweepFailover(t *testing.T) {
-	addrs, victim, cleanup := faultyCluster(t, faultnet.Config{Seed: 11, ErrProb: 0.2})
-	defer cleanup()
-
-	// The short CallTimeout matters: worker 1's injected write errors make
-	// the server drop responses while leaving the conn open, so only the
-	// per-call deadline rescues those calls.
-	cfg := PoolConfig{
-		CallTimeout:   500 * time.Millisecond,
-		MaxRetries:    3,
-		BackoffBase:   2 * time.Millisecond,
-		BackoffMax:    30 * time.Millisecond,
-		MaxFailovers:  -1,
-		Partial:       FailFast,
-		ProbeInterval: 50 * time.Millisecond,
-		Seed:          1,
-	}
-	pool, err := DialConfig(addrs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	steps := sweepSteps(20, 5)
-	spec := histogram.NewSpec2D("x", "px", 16, 16)
-	kill := time.AfterFunc(10*time.Millisecond, victim.Kill)
-	defer kill.Stop()
-
-	hists, err := pool.HistogramSweep(steps, "", spec, fastquery.FastBit)
-	if err != nil {
-		t.Fatalf("sweep failed despite failover: %v", err)
-	}
-	want := wantHists(t, spec)
-	for i, h := range hists {
-		if !sameHist(h, want[steps[i]]) {
-			t.Fatalf("step %d (index %d): wrong or missing histogram", steps[i], i)
-		}
-	}
-	ss := pool.LastSweepStats()
-	if ss.Failed != 0 || ss.Steps != len(steps) {
-		t.Fatalf("sweep stats = %+v", ss)
-	}
-	if ss.Failovers == 0 {
-		t.Fatalf("expected failovers after killing a worker mid-sweep; stats = %+v", ss)
-	}
-	if !victim.Stats().Killed {
-		t.Fatal("victim was never killed")
-	}
-}
-
-// TestFaultySweepPartial runs the same scenario with failover disabled and
-// ReturnPartial: the sweep must return every reachable step plus a
-// structured *SweepError for the steps owned by the dead worker.
-func TestFaultySweepPartial(t *testing.T) {
-	addrs, victim, cleanup := faultyCluster(t, faultnet.Config{Seed: 11, ErrProb: 0.2})
-	defer cleanup()
-
-	cfg := PoolConfig{
-		CallTimeout:  500 * time.Millisecond,
-		MaxRetries:   2,
-		BackoffBase:  2 * time.Millisecond,
-		BackoffMax:   20 * time.Millisecond,
-		MaxFailovers: 0, // no failover: dead worker's steps must fail
-		Partial:      ReturnPartial,
-		Seed:         1,
-	}
-	pool, err := DialConfig(addrs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	steps := sweepSteps(20, 5)
-	spec := histogram.NewSpec2D("x", "px", 16, 16)
-	kill := time.AfterFunc(10*time.Millisecond, victim.Kill)
-	defer kill.Stop()
-
-	hists, err := pool.HistogramSweep(steps, "", spec, fastquery.FastBit)
-	if err == nil {
-		t.Fatal("sweep succeeded with a dead worker and no failover")
-	}
-	var se *SweepError
-	if !errors.As(err, &se) {
-		t.Fatalf("error %T is not *SweepError: %v", err, err)
-	}
-	if se.Total != len(steps) || len(se.Failed) == 0 || len(se.Failed) >= len(steps) {
-		t.Fatalf("unexpected failure shape: %d/%d failed", len(se.Failed), se.Total)
-	}
-	failed := map[int]bool{}
-	for _, f := range se.Failed {
-		if f.Err == nil {
-			t.Fatalf("failed step %d carries nil error", f.Step)
-		}
-		failed[f.Index] = true
-	}
-	want := wantHists(t, spec)
-	for i, h := range hists {
-		if failed[i] {
-			if h != nil {
-				t.Fatalf("failed step index %d has a result", i)
-			}
-			continue
-		}
-		if !sameHist(h, want[steps[i]]) {
-			t.Fatalf("surviving step %d (index %d): wrong histogram", steps[i], i)
-		}
-	}
-	if got := pool.LastSweepStats().Failed; got != len(se.Failed) {
-		t.Fatalf("stats record %d failed steps, error records %d", got, len(se.Failed))
-	}
-}
-
-func TestPartialSweepPerStepErrors(t *testing.T) {
-	dir := rpcDataset(t)
-	addrs, shutdown, err := StartLocalWorkers(2, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	cfg := DefaultPoolConfig()
-	cfg.Partial = ReturnPartial
-	pool, err := DialConfig(addrs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	// Step 99 is out of range: a fatal per-step failure amid good steps.
-	steps := []int{0, 99, 1}
-	spec := histogram.NewSpec2D("x", "px", 8, 8)
-	hists, err := pool.HistogramSweep(steps, "", spec, fastquery.FastBit)
-	var se *SweepError
-	if !errors.As(err, &se) {
-		t.Fatalf("error %T is not *SweepError: %v", err, err)
-	}
-	if len(se.Failed) != 1 || se.Failed[0].Step != 99 {
-		t.Fatalf("failed steps = %+v", se.Failed)
-	}
-	if hists[0] == nil || hists[1] != nil || hists[2] == nil {
-		t.Fatalf("partial results wrong: %v", hists)
-	}
-	// Fatal errors must not burn retries or failovers.
-	ss := pool.LastSweepStats()
-	if ss.Retries != 0 || ss.Failovers != 0 {
-		t.Fatalf("fatal step was retried or failed over: %+v", ss)
-	}
-}
-
-func TestFailFastStepError(t *testing.T) {
-	dir := rpcDataset(t)
-	addrs, shutdown, err := StartLocalWorkers(1, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	pool, err := Dial(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	if _, err := pool.HistogramSweep([]int{0, 99}, "", histogram.NewSpec2D("x", "px", 4, 4), fastquery.FastBit); err == nil {
-		t.Fatal("fail-fast sweep returned nil error")
-	}
-	// Bad queries surface through RPC as fatal, without retries.
-	if _, err := pool.SelectSweep([]int{0}, "px >", false, fastquery.FastBit); err == nil {
-		t.Fatal("bad query accepted")
-	}
-	if ss := pool.LastSweepStats(); ss.Retries != 0 {
-		t.Fatalf("parse error was retried: %+v", ss)
-	}
-}
-
-func TestSweepAgainstShutDownWorkers(t *testing.T) {
-	dir := rpcDataset(t)
-	addrs, shutdown, err := StartLocalWorkers(2, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultPoolConfig()
-	cfg.MaxRetries = 1
-	cfg.BackoffBase = time.Millisecond
-	cfg.BackoffMax = 5 * time.Millisecond
-	cfg.CallTimeout = 2 * time.Second
-	pool, err := DialConfig(addrs, cfg)
-	if err != nil {
-		shutdown()
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	shutdown()
-	// Shutdown is idempotent.
-	shutdown()
-	if _, err := pool.TrackSweep([]int{0, 1}, []int64{1}, fastquery.FastBit); err == nil {
-		t.Fatal("sweep against shut-down workers succeeded")
-	}
-	if pool.HealthyNodes() != 0 {
-		t.Fatalf("healthy nodes = %d after total outage", pool.HealthyNodes())
+// TestDialFailure: one unreachable address fails the whole dial, so a
+// pool never starts with a worker it cannot reach.
+func TestDialFailure(t *testing.T) {
+	live, _ := startWorker(t, nil)
+	if _, err := DialConfig([]string{live, "127.0.0.1:1"}, callOnConfig()); err == nil {
+		t.Fatal("dial with a closed port succeeded")
 	}
 }
 
@@ -318,13 +65,8 @@ func TestDialNeverStartedWorker(t *testing.T) {
 }
 
 func TestPoolCloseIdempotent(t *testing.T) {
-	dir := rpcDataset(t)
-	addrs, shutdown, err := StartLocalWorkers(1, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	pool, err := Dial(addrs)
+	addrs, _ := startKillableWorkers(t, 1)
+	pool, err := DialConfig(addrs, DefaultPoolConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,55 +74,91 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	pool.Close() // must not panic or double-close
 }
 
-func TestWorkerCloseAndReuse(t *testing.T) {
-	w := NewWorker(rpcDataset(t))
-	spec := histogram.NewSpec2D("x", "px", 4, 4)
-	var reply HistReply
-	if err := w.Histogram2D(&HistArgs{Step: 0, Spec: spec}, &reply); err != nil {
+// TestCallOnAgainstShutDownWorkers: with every worker gone the call fails
+// and the pool marks them all unhealthy.
+func TestCallOnAgainstShutDownWorkers(t *testing.T) {
+	addrs, kill := startKillableWorkers(t, 2)
+	cfg := callOnConfig()
+	cfg.CallTimeout = 2 * time.Second
+	pool, err := DialConfig(addrs, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	defer pool.Close()
+	for _, k := range kill {
+		k()
+		k() // Close is idempotent.
+	}
+	var reply PingReply
+	if err := pool.CallOn(context.Background(), 0, "Worker.Ping", &PingArgs{}, &reply, 0); err == nil {
+		t.Fatal("call against shut-down workers succeeded")
+	}
+	if pool.HealthyNodes() != 0 {
+		t.Fatalf("healthy nodes = %d after total outage", pool.HealthyNodes())
+	}
+}
+
+// TestCallOnFatalNotRetried: a fatal reply fails the same way on every
+// replica, so CallOn returns it without retrying or failing over, and
+// the worker stays healthy.
+func TestCallOnFatalNotRetried(t *testing.T) {
+	addrs, _ := startKillableWorkers(t, 2)
+	pool, err := DialConfig(addrs, callOnConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal("second Close failed:", err)
+	defer pool.Close()
+	var reply EchoReply
+	err = pool.CallOn(context.Background(), 0, "Test.Fatal", &EchoArgs{}, &reply, 0)
+	if !fastquery.IsFatal(err) {
+		t.Fatalf("err = %v, want a fatal error", err)
 	}
-	// The worker reopens its source on the next request.
-	if err := w.Histogram2D(&HistArgs{Step: 0, Spec: spec}, &reply); err != nil {
-		t.Fatalf("worker unusable after Close: %v", err)
+	st := pool.Stats()
+	if st.Calls != 1 || st.Retries != 0 || st.Failovers != 0 {
+		t.Fatalf("fatal call was retried or failed over: %+v", st)
+	}
+	if pool.HealthyNodes() != 2 {
+		t.Fatalf("healthy nodes = %d, want 2", pool.HealthyNodes())
 	}
 }
 
 func TestShutdownClosesServedConns(t *testing.T) {
-	dir := rpcDataset(t)
-	addrs, shutdown, err := StartLocalWorkers(1, dir)
+	srv := NewServer()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", addrs[0])
+	srv.Serve(l)
+	client, err := rpc.Dial("tcp", l.Addr().String())
 	if err != nil {
-		shutdown()
+		srv.Close()
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	shutdown()
-	// The served connection must be closed by shutdown, not leaked: a read
-	// finishes promptly instead of blocking forever.
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Fatal("read returned data after shutdown")
-	} else if nerr, ok := err.(net.Error); ok && nerr.Timeout() {
+	defer client.Close()
+	// A completed ping proves the server has accepted and is serving the
+	// connection.
+	if err := client.Call("Worker.Ping", &PingArgs{}, &PingReply{}); err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	srv.Close()
+	srv.Close() // Close is idempotent.
+	// The served connection must be closed by shutdown, not leaked: a call
+	// on it fails promptly instead of being answered or blocking forever.
+	done := make(chan error, 1)
+	go func() { done <- client.Call("Worker.Ping", &PingArgs{}, &PingReply{}) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("ping answered after shutdown")
+		}
+	case <-time.After(2 * time.Second):
 		t.Fatal("served connection leaked: still open after shutdown")
 	}
 }
 
 func TestProbeRecoversWorker(t *testing.T) {
-	dir := rpcDataset(t)
-	addrs, shutdown, err := StartLocalWorkers(2, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
+	addrs, _ := startKillableWorkers(t, 2)
 	cfg := DefaultPoolConfig()
 	cfg.ProbeInterval = 10 * time.Millisecond
 	pool, err := DialConfig(addrs, cfg)
@@ -430,7 +208,7 @@ func TestCallerTimeout(t *testing.T) {
 	})
 	defer c.Close()
 	var reply PingReply
-	cs, err := c.CallWithStats("Worker.Ping", &PingArgs{}, &reply)
+	cs, err := c.CallWithStatsCtx(context.Background(), "Worker.Ping", &PingArgs{}, &reply)
 	if !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("err = %v, want ErrCallTimeout", err)
 	}
@@ -447,7 +225,7 @@ func TestCallerClosed(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal("second Close errored:", err)
 	}
-	if err := c.Call("Worker.Ping", &PingArgs{}, &PingReply{}); !errors.Is(err, ErrCallerClosed) {
+	if _, err := c.CallWithStatsCtx(context.Background(), "Worker.Ping", &PingArgs{}, &PingReply{}); !errors.Is(err, ErrCallerClosed) {
 		t.Fatalf("err = %v, want ErrCallerClosed", err)
 	}
 }

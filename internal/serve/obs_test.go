@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 )
 
@@ -301,51 +300,50 @@ func TestSweep2DLocal(t *testing.T) {
 	}
 }
 
-// TestSweep2DClusterTrace is the tentpole acceptance scenario: a
-// cluster-backed sweep with ?debug=trace returns a span tree whose
-// remote-worker subtrees came back over the RPC boundary.
-func TestSweep2DClusterTrace(t *testing.T) {
-	s, ts := testServer(t, Config{})
-	addrs, shutdown, err := cluster.StartLocalWorkers(2, testDataDir(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	cfg := cluster.DefaultPoolConfig()
-	cfg.ProbeInterval = 0
-	if err := s.SetWorkers(addrs, cfg); err != nil {
-		t.Fatal(err)
-	}
+// TestSweep2DScatterTrace: a scatter-mode sweep with ?debug=trace returns
+// a span tree in which every rpc-worker span carries the shard-side
+// subtree that came back over the RPC boundary.
+func TestSweep2DScatterTrace(t *testing.T) {
+	fleet := startShardFleet(t, 2, nil)
+	_, ts := frontendServer(t, fleet)
 
 	var body Sweep2DBody
-	code, raw := get(t, ts, "/v1/sweep2d?x=x&y=px&xbins=8&ybins=8&steps=0-3&debug=trace", &body)
+	q := url.QueryEscape("px > 0.0004")
+	code, raw := get(t, ts, "/v1/sweep2d?x=x&y=px&xbins=8&ybins=8&steps=0-3&debug=trace&q="+q, &body)
 	if code != 200 {
 		t.Fatalf("sweep2d: %d %s", code, raw)
 	}
-	if body.Mode != "cluster" {
-		t.Fatalf("mode %q, want cluster", body.Mode)
+	if body.Mode != "scatter" {
+		t.Fatalf("mode %q, want scatter", body.Mode)
 	}
-	if len(body.Failed) != 0 || body.Total == 0 {
+	if body.Partial || body.Total == 0 {
 		t.Fatalf("sweep body: %+v", body)
 	}
 	if body.Trace == nil {
 		t.Fatal("no trace echoed")
 	}
-	workers, remotes := 0, 0
+	steps, workers := 0, 0
 	body.Trace.Walk(func(sd *obs.SpanData) {
 		switch sd.Name {
+		case "sweep-step":
+			steps++
 		case "rpc-worker":
 			workers++
-		case "worker:hist2d":
-			remotes++
-			if !sd.Remote {
-				t.Error("worker:hist2d span not marked Remote")
+			for _, c := range sd.Children {
+				if strings.HasPrefix(c.Name, "shard:") {
+					if !c.Remote {
+						t.Errorf("%s span not marked Remote", c.Name)
+					}
+					return
+				}
 			}
+			t.Errorf("rpc-worker span to %s has no grafted shard:* subtree:\n%+v", sd.Attrs["worker"], sd)
 		}
 	})
-	if workers != 4 || remotes != 4 {
-		t.Fatalf("rpc-worker spans = %d, remote worker spans = %d, want 4 and 4:\n%+v",
-			workers, remotes, body.Trace)
+	// Every step scatters to both shards at least once.
+	if steps != 4 || workers < 2*steps {
+		t.Fatalf("sweep-step spans = %d, rpc-worker spans = %d, want 4 and >= 8:\n%+v",
+			steps, workers, body.Trace)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/fastquery"
 	"repro/internal/histogram"
 	"repro/internal/obs"
@@ -256,7 +256,6 @@ type Server struct {
 	mu       sync.RWMutex
 	datasets map[string]*dataset
 	order    []string
-	pool     *cluster.Pool // optional worker pool for /v1/sweep2d
 	shard    *shard.Client // optional scatter client: this server is a frontend
 
 	backendCalls     *obs.Counter
@@ -399,32 +398,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // listener.
 func (s *Server) SlowLog() *obs.SlowLog { return s.slowLog }
 
-// SetWorkers connects the server to a pool of cluster workers; once set,
-// /v1/sweep2d strides sweeps across them instead of looping locally.
-// Replaces (and closes) any previous pool. Pass nil cfg fields via
-// cluster.DefaultPoolConfig.
-func (s *Server) SetWorkers(addrs []string, cfg cluster.PoolConfig) error {
-	p, err := cluster.DialConfig(addrs, cfg)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	old := s.pool
-	s.pool = p
-	s.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	return nil
-}
-
-// workerPool returns the configured cluster pool, or nil.
-func (s *Server) workerPool() *cluster.Pool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.pool
-}
-
 // SetShardClient turns this server into a scatter-gather frontend: query,
 // hist1d, hist2d and sweep2d fragments are scattered to the client's shard
 // workers and the mergeable partials combined, instead of evaluating
@@ -466,7 +439,7 @@ func (s *Server) AddDataset(name, dir string) error {
 	return nil
 }
 
-// Close releases every open dataset and the worker pool, if any.
+// Close releases every open dataset and the shard client, if any.
 func (s *Server) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -475,10 +448,6 @@ func (s *Server) Close() {
 	}
 	s.datasets = map[string]*dataset{}
 	s.order = nil
-	if s.pool != nil {
-		s.pool.Close()
-		s.pool = nil
-	}
 	if s.shard != nil {
 		s.shard.Close()
 		s.shard = nil
@@ -1476,9 +1445,10 @@ func stepsParam(r *http.Request, d *dataset) ([]int, *httpError) {
 }
 
 // handleSweep2D computes one conditional 2D histogram per timestep — the
-// paper's temporal-evolution view. With a worker pool configured the
-// steps are strided across cluster nodes (and their trace subtrees appear
-// in this request's trace); otherwise each step runs locally in turn.
+// paper's temporal-evolution view. Each step runs through the planner in
+// turn: in-process, or scattered across the shard fleet on a frontend. A
+// step merged without every shard marks the whole sweep partial, the way
+// /v1/query marks one step.
 func (s *Server) handleSweep2D(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	req, herr := s.parseRequest(r, false)
@@ -1510,22 +1480,18 @@ func (s *Server) handleSweep2D(w http.ResponseWriter, r *http.Request) {
 		ctx = plan.WithProfile(ctx, req.prof)
 	}
 
-	var hists []*histogram.Hist2D
-	var err error
 	mode := "local"
-	if p := s.workerPool(); p != nil {
-		mode = "cluster"
-		hists, err = p.HistogramSweepCtx(ctx, steps, req.src, spec, req.backend)
-	} else {
-		if s.shardClient() != nil {
-			mode = "scatter"
-		}
-		hists, err = s.planSweep(ctx, req, steps, spec)
+	if s.shardClient() != nil {
+		mode = "scatter"
 	}
+	results, err := s.planSweep(ctx, req, steps, spec)
 	if err != nil {
 		s.writeExecError(w, err)
 		return
 	}
+	// sum folds the per-step results into one for the explain and
+	// slow-log surfaces: fragments add up, failed shards are the union.
+	sum := &plan.Result{Mode: mode}
 	body := Sweep2DBody{
 		Dataset:   req.d.name,
 		Steps:     steps,
@@ -1534,22 +1500,28 @@ func (s *Server) handleSweep2D(w http.ResponseWriter, r *http.Request) {
 		Mode:      mode,
 		XVar:      spec.XVar,
 		YVar:      spec.YVar,
-		Totals:    make([]uint64, len(hists)),
+		Totals:    make([]uint64, len(results)),
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 		Trace:     traceEcho(r),
 	}
-	for i, h := range hists {
-		if h == nil { // partial sweep result
-			body.Failed = append(body.Failed, steps[i])
-			continue
+	for i, res := range results {
+		if res.Hist2 != nil {
+			body.Totals[i] = res.Hist2.Total()
+			body.Total += body.Totals[i]
 		}
-		body.Totals[i] = h.Total()
-		body.Total += h.Total()
+		sum.Fragments += res.Fragments
+		sum.Partial = sum.Partial || res.Partial
+		sum.BudgetExhausted = sum.BudgetExhausted || res.BudgetExhausted
+		sum.Failed = append(sum.Failed, res.Failed...)
 	}
-	s.noteExplain(r, req, nil, Computed, "")
+	sort.Ints(sum.Failed)
+	sum.Failed = slices.Compact(sum.Failed)
+	body.Partial, body.FailedShards = sum.Partial, sum.Failed
+	markPartial(w, sum)
+	s.noteExplain(r, req, sum, Computed, "")
 	if req.explain {
 		s.explains.Inc()
-		body.Explain = s.buildExplain(ctx, r, req, "sweep2d", nil, Computed, "", start)
+		body.Explain = s.buildExplain(ctx, r, req, "sweep2d", sum, Computed, "", start)
 		if req.explainOnly {
 			writeBody(r, w, explainOnlyBody{Explain: body.Explain})
 			return
@@ -1559,11 +1531,11 @@ func (s *Server) handleSweep2D(w http.ResponseWriter, r *http.Request) {
 }
 
 // planSweep runs the per-step histograms serially through the planner,
-// each under its own sweep-step span to mirror the cluster path's trace
-// shape. Without a scatter client every step evaluates in-process; with
-// one, each step scatters across the shard fleet in turn.
-func (s *Server) planSweep(ctx context.Context, req *request, steps []int, spec histogram.Spec2D) ([]*histogram.Hist2D, error) {
-	out := make([]*histogram.Hist2D, len(steps))
+// each under its own sweep-step span, and returns one result per step.
+// Without a scatter client every step evaluates in-process; with one,
+// each step scatters across the shard fleet in turn.
+func (s *Server) planSweep(ctx context.Context, req *request, steps []int, spec histogram.Spec2D) ([]*plan.Result, error) {
+	out := make([]*plan.Result, len(steps))
 	for i, t := range steps {
 		st, err := req.d.step(t)
 		if err != nil {
@@ -1581,7 +1553,7 @@ func (s *Server) planSweep(ctx context.Context, req *request, steps []int, spec 
 			return nil, err
 		}
 		sp.End()
-		out[i] = res.Hist2
+		out[i] = res
 	}
 	return out, nil
 }

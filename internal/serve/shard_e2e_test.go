@@ -6,6 +6,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -198,6 +199,54 @@ func TestFrontendPartialOnShardDeath(t *testing.T) {
 	// as if complete.
 	if !pb.Partial {
 		t.Fatal("cached partial replayed")
+	}
+}
+
+// TestSweepScatterIdentityAndPartial: a healthy 3-shard sweep answers
+// step for step like the single-process server; after a shard dies the
+// sweep keeps answering, marked partial with the dead shard named, the
+// way /v1/query marks one step.
+func TestSweepScatterIdentityAndPartial(t *testing.T) {
+	fleet := startShardFleet(t, 3, nil)
+	front, fts := frontendServer(t, fleet)
+	_, bts := testServer(t, Config{})
+
+	path := "/v1/sweep2d?dataset=lwfa&steps=0-2&x=x&y=px&xbins=16&ybins=16&q=" + url.QueryEscape("px > 0.0004")
+	var got, want Sweep2DBody
+	if code, raw := get(t, fts, path, &got); code != http.StatusOK {
+		t.Fatalf("frontend status %d: %s", code, raw)
+	}
+	if code, raw := get(t, bts, path, &want); code != http.StatusOK {
+		t.Fatalf("baseline status %d: %s", code, raw)
+	}
+	if got.Mode != "scatter" || want.Mode != "local" {
+		t.Fatalf("modes %q / %q, want scatter / local", got.Mode, want.Mode)
+	}
+	if !reflect.DeepEqual(got.Totals, want.Totals) || got.Total != want.Total || want.Total == 0 {
+		t.Fatalf("totals: frontend %v (%d), baseline %v (%d)", got.Totals, got.Total, want.Totals, want.Total)
+	}
+	if got.Partial || got.FailedShards != nil {
+		t.Fatalf("healthy fleet answered partial: %+v", got)
+	}
+
+	fleet.kill[1]()
+	before := front.partials.Load()
+	code, hdr, raw := getFull(t, fts, path)
+	if code != http.StatusOK {
+		t.Fatalf("post-kill status %d: %s", code, raw)
+	}
+	var pb Sweep2DBody
+	if err := json.Unmarshal(raw, &pb); err != nil {
+		t.Fatal(err)
+	}
+	if hdr != "1" || !pb.Partial || !reflect.DeepEqual(pb.FailedShards, []int{1}) {
+		t.Fatalf("X-Partial %q, body %+v: want marked partial with failed_shards [1]", hdr, pb)
+	}
+	if pb.Total >= want.Total {
+		t.Fatalf("partial total %d, want below the full fleet's %d", pb.Total, want.Total)
+	}
+	if front.partials.Load() == before {
+		t.Fatal("serve_partial_total not incremented")
 	}
 }
 

@@ -179,10 +179,7 @@ func (corruptShard) Exec(args *ExecArgs, reply *ExecReply) error {
 }
 
 func TestRunFragmentRejectsChecksumMismatch(t *testing.T) {
-	srv, err := cluster.NewServer(cluster.NewWorker(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := cluster.NewServer()
 	defer srv.Close()
 	if err := srv.RegisterName("Shard", corruptShard{}); err != nil {
 		t.Fatal(err)

@@ -62,8 +62,8 @@ func (c *Client) Shards() int { return len(c.pools) }
 
 // RunFragment sends one fragment to a shard, first-healthy replica first
 // (a stable choice, so the primary replica's fragment cache stays hot),
-// hedging per the client's stagger. The shard-side span tree is attached
-// under the caller's fragment span.
+// hedging per the client's stagger. The shard-side span tree is grafted
+// under the rpc-worker span of the attempt that answered.
 func (c *Client) RunFragment(ctx context.Context, shard int, f plan.Fragment) (*plan.FragmentResult, error) {
 	if shard < 0 || shard >= len(c.pools) {
 		return nil, fmt.Errorf("shard: shard %d out of range [0,%d)", shard, len(c.pools))
@@ -111,7 +111,6 @@ func (c *Client) RunFragment(ctx context.Context, shard int, f plan.Fragment) (*
 	}
 	var reply ExecReply
 	err := c.pools[shard].CallOn(callCtx, 0, "Shard.Exec", args, &reply, c.hedge)
-	obs.SpanFromContext(ctx).AttachRemote(reply.Trace)
 	if err != nil {
 		if callCtx != ctx && callCtx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
 			// The sub-budget expired while the request itself is still

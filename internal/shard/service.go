@@ -63,6 +63,10 @@ type ExecReply struct {
 	CRCOK bool
 }
 
+// RemoteTrace returns the shard-side span tree, which the cluster pool
+// grafts under the rpc-worker span of the attempt that carried it.
+func (r *ExecReply) RemoteTrace() *obs.SpanData { return r.Trace }
+
 // StatsArgs is the (empty) request of Shard.Stats.
 type StatsArgs struct{}
 
@@ -213,16 +217,12 @@ func (s *Service) Metrics(args *MetricsArgs, reply *MetricsReply) error {
 	return nil
 }
 
-// NewServer builds a cluster RPC server that serves both the "Shard"
-// fragment service and the standard "Worker" service (for Ping health
-// probes) over the same listeners. dir is the dataset directory the
-// embedded Worker would serve sweep RPCs from; shard workers reuse the
-// executor's first dataset directory.
+// NewServer builds a cluster RPC server that serves the "Shard" fragment
+// service beside the cluster server's "Worker.Ping" health probe, over
+// the same listeners. dir is unused: the executor already knows its
+// datasets. It stays in the signature for existing callers.
 func NewServer(svc *Service, dir string) (*cluster.Server, error) {
-	srv, err := cluster.NewServer(cluster.NewWorker(dir))
-	if err != nil {
-		return nil, err
-	}
+	srv := cluster.NewServer()
 	if err := srv.RegisterName("Shard", svc); err != nil {
 		return nil, fmt.Errorf("shard: register service: %w", err)
 	}
@@ -231,8 +231,8 @@ func NewServer(svc *Service, dir string) (*cluster.Server, error) {
 
 // StartLocalShards starts n in-process shard workers over the given
 // datasets (name -> directory), one replica each, and returns the
-// per-shard address groups plus an idempotent shutdown. Tests and the
-// local walkthrough use it the way StartLocalWorkers serves sweeps.
+// per-shard address groups plus an idempotent shutdown, for tests, the
+// local walkthrough and scalebench's real-RPC study.
 func StartLocalShards(n int, datasets map[string]string, cacheEntries int) (shards [][]string, shutdown func(), err error) {
 	var servers []*cluster.Server
 	var executors []*Executor
@@ -247,7 +247,6 @@ func StartLocalShards(n int, datasets map[string]string, cacheEntries int) (shar
 			}
 		})
 	}
-	dir := ""
 	for i := 0; i < n; i++ {
 		ex := NewExecutor(cacheEntries)
 		for name, d := range datasets {
@@ -255,10 +254,9 @@ func StartLocalShards(n int, datasets map[string]string, cacheEntries int) (shar
 				closeAll()
 				return nil, nil, err
 			}
-			dir = d
 		}
 		executors = append(executors, ex)
-		srv, err := NewServer(NewService(ex, nil), dir)
+		srv, err := NewServer(NewService(ex, nil), "")
 		if err != nil {
 			closeAll()
 			return nil, nil, err
