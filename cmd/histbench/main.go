@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -111,21 +112,21 @@ func (b *bench) fig11() error {
 		specU := histogram.NewSpec2D("x", "px", bins, bins)
 		specA := specU.WithBinning(histogram.Adaptive)
 		fbU, err := report.MedianTime(b.runs, func() error {
-			_, err := st.Histogram2D(nil, specU, fastquery.FastBit)
+			_, err := st.Histogram2DCtx(context.Background(), nil, specU, fastquery.FastBit)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		fbA, err := report.MedianTime(b.runs, func() error {
-			_, err := st.Histogram2D(nil, specA, fastquery.FastBit)
+			_, err := st.Histogram2DCtx(context.Background(), nil, specA, fastquery.FastBit)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		cu, err := report.MedianTime(b.runs, func() error {
-			_, err := st.Histogram2D(nil, specU, fastquery.Scan)
+			_, err := st.Histogram2DCtx(context.Background(), nil, specU, fastquery.Scan)
 			return err
 		})
 		if err != nil {
@@ -190,26 +191,26 @@ func (b *bench) fig12() error {
 		cond := &query.Compare{Var: "px", Op: query.GT, Value: thr}
 		specU := histogram.NewSpec2D("x", "px", 1024, 1024)
 		specA := specU.WithBinning(histogram.Adaptive)
-		hits, err := st.Count(cond, fastquery.FastBit)
+		hits, err := st.CountCtx(context.Background(), cond, fastquery.FastBit)
 		if err != nil {
 			return err
 		}
 		fbU, err := report.MedianTime(b.runs, func() error {
-			_, err := st.Histogram2D(cond, specU, fastquery.FastBit)
+			_, err := st.Histogram2DCtx(context.Background(), cond, specU, fastquery.FastBit)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		fbA, err := report.MedianTime(b.runs, func() error {
-			_, err := st.Histogram2D(cond, specA, fastquery.FastBit)
+			_, err := st.Histogram2DCtx(context.Background(), cond, specA, fastquery.FastBit)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		cu, err := report.MedianTime(b.runs, func() error {
-			_, err := st.Histogram2D(cond, specU, fastquery.Scan)
+			_, err := st.Histogram2DCtx(context.Background(), cond, specU, fastquery.Scan)
 			return err
 		})
 		if err != nil {
@@ -246,7 +247,7 @@ func (b *bench) fig13() error {
 		}
 		var hits int
 		fb, err := report.MedianTime(b.runs, func() error {
-			pos, err := st.FindIDs(set, fastquery.FastBit)
+			pos, err := st.FindIDsCtx(context.Background(), set, fastquery.FastBit)
 			hits = len(pos)
 			return err
 		})
@@ -254,7 +255,7 @@ func (b *bench) fig13() error {
 			return err
 		}
 		cu, err := report.MedianTime(b.runs, func() error {
-			_, err := st.FindIDs(set, fastquery.Scan)
+			_, err := st.FindIDsCtx(context.Background(), set, fastquery.Scan)
 			return err
 		})
 		if err != nil {

@@ -10,6 +10,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -94,19 +95,19 @@ func main() {
 	condTable := report.NewTable("", "hits", "fastbit_s", "custom_s")
 	for _, frac := range []float64{0.9, 0.5, 0.1} {
 		cond := &query.Compare{Var: "px", Op: query.GT, Value: frac * pxHi}
-		hits, err := st.Count(cond, fastquery.FastBit)
+		hits, err := st.CountCtx(context.Background(), cond, fastquery.FastBit)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fb, err := report.MedianTime(3, func() error {
-			_, err := st.Histogram2D(cond, histogram.NewSpec2D("x", "px", *bins, *bins), fastquery.FastBit)
+			_, err := st.Histogram2DCtx(context.Background(), cond, histogram.NewSpec2D("x", "px", *bins, *bins), fastquery.FastBit)
 			return err
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		cu, err := report.MedianTime(3, func() error {
-			_, err := st.Histogram2D(cond, histogram.NewSpec2D("x", "px", *bins, *bins), fastquery.Scan)
+			_, err := st.Histogram2DCtx(context.Background(), cond, histogram.NewSpec2D("x", "px", *bins, *bins), fastquery.Scan)
 			return err
 		})
 		if err != nil {
@@ -197,7 +198,7 @@ func trackResults(src *fastquery.Source, ids []int64, backend fastquery.Backend)
 				return 0, 0, err
 			}
 			defer st.Close()
-			if _, err := st.FindIDs(ids, backend); err != nil {
+			if _, err := st.FindIDsCtx(context.Background(), ids, backend); err != nil {
 				return 0, 0, err
 			}
 			return st.IOBytes(), 1, nil

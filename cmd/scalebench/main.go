@@ -182,7 +182,7 @@ func (b *bench) histTasks(cond query.Expr, backend fastquery.Backend) []cluster.
 			}
 			defer st.Close()
 			for _, spec := range histPairs(b.bins) {
-				if _, err := st.Histogram2D(cond, spec, backend); err != nil {
+				if _, err := st.Histogram2DCtx(context.Background(), cond, spec, backend); err != nil {
 					return 0, 0, err
 				}
 			}
@@ -340,7 +340,7 @@ func (b *bench) trackIDSet(targetHits int) ([]int64, float64, error) {
 		k = len(sorted) / 2
 	}
 	thr := (sorted[k-1] + sorted[k]) / 2
-	ids, err := st.SelectIDs(&query.Compare{Var: "px", Op: query.GT, Value: thr}, fastquery.FastBit)
+	ids, err := st.SelectIDsCtx(context.Background(), &query.Compare{Var: "px", Op: query.GT, Value: thr}, fastquery.FastBit)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -357,7 +357,7 @@ func (b *bench) trackTasks(ids []int64, backend fastquery.Backend) []cluster.Tas
 				return 0, 0, err
 			}
 			defer st.Close()
-			if _, err := st.FindIDs(ids, backend); err != nil {
+			if _, err := st.FindIDsCtx(context.Background(), ids, backend); err != nil {
 				return 0, 0, err
 			}
 			return st.IOBytes(), 1, nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestHistPairs(t *testing.T) {
 
 // TestStridedSweepMatchesSerial: the -real-rpc study's strided whole-step
 // fragment sweep over 1 and 3 shard workers returns, step for step, the
-// histograms a local serial Step.Histogram2D computes.
+// histograms a local serial Step.Histogram2DCtx computes.
 func TestStridedSweepMatchesSerial(t *testing.T) {
 	dir := t.TempDir()
 	cfg := sim.DefaultConfig()
@@ -65,7 +66,7 @@ func TestStridedSweepMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[s], err = st.Histogram2D(cond, spec, fastquery.FastBit)
+		want[s], err = st.Histogram2DCtx(context.Background(), cond, spec, fastquery.FastBit)
 		st.Close()
 		if err != nil {
 			t.Fatal(err)

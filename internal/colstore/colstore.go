@@ -443,13 +443,8 @@ func (file *File) readChunk(ci *ColumnInfo, idx int, cost *obs.Cost) ([]byte, er
 	return buf, nil
 }
 
-// ReadFloat64 reads a whole float64 column.
-func (file *File) ReadFloat64(name string) ([]float64, error) {
-	return file.ReadFloat64Cost(name, nil)
-}
-
-// ReadFloat64Cost is ReadFloat64 charging bytes and values into cost
-// (nil-safe) for per-query attribution.
+// ReadFloat64Cost reads a whole float64 column, charging bytes and values
+// into cost (nil-safe) for per-query attribution.
 func (file *File) ReadFloat64Cost(name string, cost *obs.Cost) ([]float64, error) {
 	ci, ok := file.cols[name]
 	if !ok {
@@ -472,12 +467,8 @@ func (file *File) ReadFloat64Cost(name string, cost *obs.Cost) ([]float64, error
 	return out, nil
 }
 
-// ReadInt64 reads a whole int64 column.
-func (file *File) ReadInt64(name string) ([]int64, error) {
-	return file.ReadInt64Cost(name, nil)
-}
-
-// ReadInt64Cost is ReadInt64 charging bytes and values into cost.
+// ReadInt64Cost reads a whole int64 column, charging bytes and values
+// into cost (nil-safe).
 func (file *File) ReadInt64Cost(name string, cost *obs.Cost) ([]int64, error) {
 	ci, ok := file.cols[name]
 	if !ok {
@@ -500,14 +491,10 @@ func (file *File) ReadInt64Cost(name string, cost *obs.Cost) ([]int64, error) {
 	return out, nil
 }
 
-// ReadAsFloat64 reads any column as float64, converting int64 values.
-// Particle identifiers fit in the 53-bit mantissa, so the conversion is
-// exact for this system's data.
-func (file *File) ReadAsFloat64(name string) ([]float64, error) {
-	return file.ReadAsFloat64Cost(name, nil)
-}
-
-// ReadAsFloat64Cost is ReadAsFloat64 charging bytes and values into cost.
+// ReadAsFloat64Cost reads any column as float64, converting int64
+// values, and charges bytes and values into cost (nil-safe). Particle
+// identifiers fit in the 53-bit mantissa, so the conversion is exact for
+// this system's data.
 func (file *File) ReadAsFloat64Cost(name string, cost *obs.Cost) ([]float64, error) {
 	ci, ok := file.cols[name]
 	if !ok {
@@ -531,16 +518,11 @@ func (file *File) ReadAsFloat64Cost(name string, cost *obs.Cost) ([]float64, err
 	}
 }
 
-// ReadFloat64At gathers the float64 values at the given sorted row
-// positions, reading only the chunks that contain requested rows. This is
-// the access path for index candidate checks, which touch a small number
-// of rows.
-func (file *File) ReadFloat64At(name string, positions []uint64) ([]float64, error) {
-	return file.ReadFloat64AtCost(name, positions, nil)
-}
-
-// ReadFloat64AtCost is ReadFloat64At charging chunk bytes and gathered
-// values into cost for per-query attribution.
+// ReadFloat64AtCost gathers the float64 values at the given sorted row
+// positions, reading only the chunks that contain requested rows, and
+// charges chunk bytes and gathered values into cost (nil-safe) for
+// per-query attribution. This is the access path for index candidate
+// checks, which touch a small number of rows.
 func (file *File) ReadFloat64AtCost(name string, positions []uint64, cost *obs.Cost) ([]float64, error) {
 	ci, ok := file.cols[name]
 	if !ok {

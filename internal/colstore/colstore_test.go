@@ -46,7 +46,7 @@ func TestRoundTrip(t *testing.T) {
 		if f.Rows() != 1000 {
 			t.Fatalf("Rows = %d", f.Rows())
 		}
-		gotF, err := f.ReadFloat64("px")
+		gotF, err := f.ReadFloat64Cost("px", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("chunkRows=%d: px[%d] = %g, want %g", chunkRows, i, gotF[i], fs[i])
 			}
 		}
-		gotI, err := f.ReadInt64("id")
+		gotI, err := f.ReadInt64Cost("id", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestSpecialFloats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	got, err := f.ReadFloat64("v")
+	got, err := f.ReadFloat64Cost("v", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestEmptyColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	got, err := f.ReadFloat64("v")
+	got, err := f.ReadFloat64Cost("v", nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty column read: %v %v", got, err)
 	}
@@ -196,13 +196,13 @@ func TestColumnMetadata(t *testing.T) {
 	if _, err := f.Column("nope"); err == nil {
 		t.Fatal("missing column accepted")
 	}
-	if _, err := f.ReadFloat64("id"); err == nil {
+	if _, err := f.ReadFloat64Cost("id", nil); err == nil {
 		t.Fatal("type mismatch read accepted")
 	}
-	if _, err := f.ReadInt64("px"); err == nil {
+	if _, err := f.ReadInt64Cost("px", nil); err == nil {
 		t.Fatal("type mismatch read accepted")
 	}
-	if _, err := f.ReadFloat64("nope"); err == nil {
+	if _, err := f.ReadFloat64Cost("nope", nil); err == nil {
 		t.Fatal("missing column read accepted")
 	}
 }
@@ -214,11 +214,11 @@ func TestReadAsFloat64(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	got, err := f.ReadAsFloat64("px")
+	got, err := f.ReadAsFloat64Cost("px", nil)
 	if err != nil || got[0] != fs[0] {
 		t.Fatalf("ReadAsFloat64(px): %v", err)
 	}
-	got, err = f.ReadAsFloat64("id")
+	got, err = f.ReadAsFloat64Cost("id", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestReadFloat64At(t *testing.T) {
 	}
 	defer f.Close()
 	pos := []uint64{0, 1, 63, 64, 500, 999}
-	got, err := f.ReadFloat64At("px", pos)
+	got, err := f.ReadFloat64AtCost("px", pos, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestReadFloat64At(t *testing.T) {
 		}
 	}
 	// Int column gather converts.
-	got, err = f.ReadFloat64At("id", pos)
+	got, err = f.ReadFloat64AtCost("id", pos, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,16 +256,16 @@ func TestReadFloat64At(t *testing.T) {
 			t.Fatalf("id at %d: %g want %d", p, got[i], is[p])
 		}
 	}
-	if _, err := f.ReadFloat64At("px", []uint64{5, 3}); err == nil {
+	if _, err := f.ReadFloat64AtCost("px", []uint64{5, 3}, nil); err == nil {
 		t.Fatal("unsorted positions accepted")
 	}
-	if _, err := f.ReadFloat64At("px", []uint64{1000}); err == nil {
+	if _, err := f.ReadFloat64AtCost("px", []uint64{1000}, nil); err == nil {
 		t.Fatal("out-of-range position accepted")
 	}
-	if _, err := f.ReadFloat64At("nope", []uint64{1}); err == nil {
+	if _, err := f.ReadFloat64AtCost("nope", []uint64{1}, nil); err == nil {
 		t.Fatal("missing column accepted")
 	}
-	if got, err := f.ReadFloat64At("px", nil); err != nil || len(got) != 0 {
+	if got, err := f.ReadFloat64AtCost("px", nil, nil); err != nil || len(got) != 0 {
 		t.Fatalf("empty gather: %v %v", got, err)
 	}
 }
@@ -277,11 +277,11 @@ func TestGatherReadsFewerBytesThanFullColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.ReadFloat64At("px", []uint64{5, 99999}); err != nil {
+	if _, err := f.ReadFloat64AtCost("px", []uint64{5, 99999}, nil); err != nil {
 		t.Fatal(err)
 	}
 	gathered := f.BytesRead()
-	if _, err := f.ReadFloat64("px"); err != nil {
+	if _, err := f.ReadFloat64Cost("px", nil); err != nil {
 		t.Fatal(err)
 	}
 	full := f.BytesRead() - gathered
@@ -306,7 +306,7 @@ func TestCorruptionDetected(t *testing.T) {
 		t.Fatal(err) // directory still intact
 	}
 	defer f.Close()
-	if _, err := f.ReadFloat64("px"); err == nil {
+	if _, err := f.ReadFloat64Cost("px", nil); err == nil {
 		t.Fatal("corrupt chunk read succeeded")
 	}
 }
@@ -354,7 +354,7 @@ func TestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		defer file.Close()
-		got, err := file.ReadFloat64("v")
+		got, err := file.ReadFloat64Cost("v", nil)
 		if err != nil || len(got) != len(vals) {
 			return false
 		}
@@ -410,7 +410,7 @@ func TestDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := f.ReadFloat64("x")
+	vals, err := f.ReadFloat64Cost("x", nil)
 	f.Close()
 	if err != nil || vals[0] != 10 {
 		t.Fatalf("step 1 x[0] = %v, %v", vals, err)
@@ -490,7 +490,7 @@ func TestTruncationNeverPanics(t *testing.T) {
 			}
 			defer f.Close()
 			// Reads must error, not panic.
-			if _, err := f.ReadFloat64("px"); err == nil {
+			if _, err := f.ReadFloat64Cost("px", nil); err == nil {
 				t.Fatalf("truncation %d: full read succeeded", cut)
 			}
 		}()
@@ -525,9 +525,9 @@ func TestRandomCorruptionNeverPanics(t *testing.T) {
 				return
 			}
 			defer f.Close()
-			f.ReadFloat64("px")                     //nolint:errcheck // must not panic
-			f.ReadInt64("id")                       //nolint:errcheck
-			f.ReadFloat64At("px", []uint64{0, 100}) //nolint:errcheck
+			f.ReadFloat64Cost("px", nil)                     //nolint:errcheck // must not panic
+			f.ReadInt64Cost("id", nil)                       //nolint:errcheck
+			f.ReadFloat64AtCost("px", []uint64{0, 100}, nil) //nolint:errcheck
 		}()
 	}
 }

@@ -43,7 +43,7 @@ func TestWriterAtomicPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	got, err := f.ReadFloat64("x")
+	got, err := f.ReadFloat64Cost("x", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestOpenAfterPartialWrite(t *testing.T) {
 		// A truncation that leaves the trailer intact is impossible (the
 		// trailer is the last 12 bytes), so Open must have failed above;
 		// belt and braces: reads must error rather than fabricate data.
-		if got, err := f.ReadFloat64("x"); err == nil && len(got) == len(vals) {
+		if got, err := f.ReadFloat64Cost("x", nil); err == nil && len(got) == len(vals) {
 			f.Close()
 			t.Fatalf("truncated to %d/%d bytes but read full column", n, len(whole))
 		}

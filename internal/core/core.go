@@ -8,6 +8,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -74,11 +75,12 @@ func (e *Explorer) SelectExpr(step int, expr query.Expr) (*Selection, error) {
 		return nil, err
 	}
 	defer st.Close()
-	pos, err := st.Select(expr, e.backend)
+	ctx := context.Background()
+	pos, err := st.SelectCtx(ctx, expr, e.backend)
 	if err != nil {
 		return nil, err
 	}
-	ids, err := st.SelectIDs(expr, e.backend)
+	ids, err := st.IDsAtCtx(ctx, pos)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +148,7 @@ func (e *Explorer) SelectByIDs(step int, ids []int64) (*Selection, error) {
 		return nil, err
 	}
 	defer st.Close()
-	pos, err := st.FindIDs(ids, e.backend)
+	pos, err := st.FindIDsCtx(context.Background(), ids, e.backend)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +189,7 @@ func (e *Explorer) Histogram2D(step int, cond string, spec histogram.Spec2D) (*h
 		return nil, err
 	}
 	defer st.Close()
-	return st.Histogram2D(expr, spec, e.backend)
+	return st.Histogram2DCtx(context.Background(), expr, spec, e.backend)
 }
 
 // Histogram1D computes a 1D histogram of one timestep.
@@ -204,7 +206,7 @@ func (e *Explorer) Histogram1D(step int, cond string, spec histogram.Spec1D) (*h
 		return nil, err
 	}
 	defer st.Close()
-	return st.Histogram1D(expr, spec, e.backend)
+	return st.Histogram1DCtx(context.Background(), expr, spec, e.backend)
 }
 
 // VarRange returns the value range of a variable at one timestep.
@@ -304,7 +306,7 @@ func (e *Explorer) TrackIDs(ids []int64, from, to int, opt TrackOptions) ([]*Tra
 				return 0, 0, err
 			}
 			defer st.Close()
-			pos, err := st.FindIDs(ids, e.backend)
+			pos, err := st.FindIDsCtx(context.Background(), ids, e.backend)
 			if err != nil {
 				return 0, 0, err
 			}

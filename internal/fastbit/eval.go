@@ -74,10 +74,10 @@ type Evaluator struct {
 	// Approx switches evaluation to the index-only approximate path:
 	// boundary bins are admitted wholesale instead of candidate-checked,
 	// yielding a superset bitmap without touching raw data. Set before the
-	// first Eval call; Stats.ApproxRows reports the unchecked admissions.
+	// first EvalCtx call; Stats.ApproxRows reports the unchecked admissions.
 	Approx bool
 
-	// Stats accumulates candidate-check work across Eval calls.
+	// Stats accumulates candidate-check work across EvalCtx calls.
 	Stats EvalStats
 
 	// Cost, when set, receives per-query charges (bitmap ORs, candidate
@@ -110,14 +110,10 @@ func (ev *Evaluator) idIndex() *IDIndex {
 	return nil
 }
 
-// Eval computes the bitmap of records matching e.
-func (ev *Evaluator) Eval(e query.Expr) (*bitmap.Vector, error) {
-	return ev.EvalCtx(context.Background(), e)
-}
-
-// EvalCtx is Eval with cooperative cancellation: ctx is observed between
-// boolean terms and inside candidate-check loops, so a canceled query
-// stops within one checkpoint interval.
+// EvalCtx computes the bitmap of records matching e, with cooperative
+// cancellation: ctx is observed between boolean terms and inside
+// candidate-check loops, so a canceled query stops within one checkpoint
+// interval.
 func (ev *Evaluator) EvalCtx(ctx context.Context, e query.Expr) (*bitmap.Vector, error) {
 	return ev.evalRows(ctx, e, 0, ev.N)
 }
@@ -360,23 +356,14 @@ func (ev *Evaluator) accumulate(st EvalStats) {
 	ev.Stats.ApproxRows += st.ApproxRows
 }
 
-// Count returns the number of records matching e.
-func (ev *Evaluator) Count(e query.Expr) (uint64, error) {
-	return ev.CountCtx(context.Background(), e)
-}
-
-// CountCtx is Count with cooperative cancellation.
+// CountCtx returns the number of records matching e, with cooperative
+// cancellation.
 func (ev *Evaluator) CountCtx(ctx context.Context, e query.Expr) (uint64, error) {
 	v, err := ev.EvalCtx(ctx, e)
 	if err != nil {
 		return 0, err
 	}
 	return v.Count(), nil
-}
-
-// Select returns the sorted record positions matching e.
-func (ev *Evaluator) Select(e query.Expr) ([]uint64, error) {
-	return ev.SelectCtx(context.Background(), e, 0, ev.N)
 }
 
 // SelectCtx returns the sorted positions in [lo, hi) of the records
@@ -393,20 +380,16 @@ func (ev *Evaluator) SelectCtx(ctx context.Context, e query.Expr, lo, hi uint64)
 	return v.PositionsRange(lo, hi), nil
 }
 
-// SelectIDs returns the identifiers of records matching e, read from the
-// identifier column at the matching positions.
-func (ev *Evaluator) SelectIDs(e query.Expr) ([]int64, error) {
-	return ev.SelectIDsCtx(context.Background(), e)
-}
-
-// SelectIDsCtx is SelectIDs with cooperative cancellation.
+// SelectIDsCtx returns the identifiers of records matching e, read from
+// the identifier column at the matching positions, with cooperative
+// cancellation.
 func (ev *Evaluator) SelectIDsCtx(ctx context.Context, e query.Expr) ([]int64, error) {
 	pos, err := ev.SelectCtx(ctx, e, 0, ev.N)
 	if err != nil {
 		return nil, err
 	}
 	if ev.Raw == nil {
-		return nil, fmt.Errorf("fastbit: SelectIDs requires a raw reader")
+		return nil, fmt.Errorf("fastbit: SelectIDsCtx requires a raw reader")
 	}
 	vals, err := ev.Raw.ValuesAt(ev.IDVar, pos)
 	if err != nil {

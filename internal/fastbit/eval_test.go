@@ -1,6 +1,7 @@
 package fastbit
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -73,11 +74,11 @@ func TestEvaluatorMatchesScanOnCompoundQueries(t *testing.T) {
 	}
 	for _, q := range queries {
 		e := query.MustParse(q)
-		want, err := scan.Select(cols, e)
+		want, err := scan.SelectCtx(context.Background(), cols, e)
 		if err != nil {
 			t.Fatalf("%q scan: %v", q, err)
 		}
-		got, err := ev.Select(e)
+		got, err := ev.SelectCtx(context.Background(), e, 0, ev.N)
 		if err != nil {
 			t.Fatalf("%q fastbit: %v", q, err)
 		}
@@ -96,11 +97,11 @@ func TestEvaluatorCount(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 2000, 22, IndexOptions{Bins: 32})
 	ev := si.Evaluator(mem)
 	e := query.MustParse("px > 0")
-	cnt, err := ev.Count(e)
+	cnt, err := ev.CountCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := ev.Select(e)
+	sel, err := ev.SelectCtx(context.Background(), e, 0, ev.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +113,10 @@ func TestEvaluatorCount(t *testing.T) {
 func TestEvaluatorUnknownVariable(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 100, 23, IndexOptions{Bins: 8})
 	ev := si.Evaluator(mem)
-	if _, err := ev.Eval(query.MustParse("nope > 0")); err == nil {
+	if _, err := ev.EvalCtx(context.Background(), query.MustParse("nope > 0")); err == nil {
 		t.Fatal("unknown variable accepted")
 	}
-	if _, err := ev.Eval(query.MustParse("nope in (1,2)")); err == nil {
+	if _, err := ev.EvalCtx(context.Background(), query.MustParse("nope in (1,2)")); err == nil {
 		t.Fatal("unknown in-variable accepted")
 	}
 }
@@ -130,11 +131,14 @@ func TestEvaluatorIDQuery(t *testing.T) {
 		vals[i] = float64(id)
 	}
 	in := query.NewIn("id", vals)
-	got, err := ev.Select(in)
+	got, err := ev.SelectCtx(context.Background(), in, 0, ev.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := scan.FindIDs(ids, want)
+	ref, err := scan.FindIDsCtx(context.Background(), ids, want)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(ref) {
 		t.Fatalf("ID query: %d hits, want %d", len(got), len(ref))
 	}
@@ -150,11 +154,11 @@ func TestEvaluatorInOnNonIDColumn(t *testing.T) {
 	ev := si.Evaluator(mem)
 	px := mem["px"]
 	in := query.NewIn("px", []float64{px[17], px[1234], 1e300})
-	got, err := ev.Select(in)
+	got, err := ev.SelectCtx(context.Background(), in, 0, ev.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scan.Select(scanColumns(mem), in)
+	want, err := scan.SelectCtx(context.Background(), scanColumns(mem), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +187,7 @@ func TestEvaluatorRandomThresholdProperty(t *testing.T) {
 			op = ">="
 		}
 		e := query.MustParse("px " + op + " " + formatG(thr))
-		got, err := ev.Count(e)
+		got, err := ev.CountCtx(context.Background(), e)
 		if err != nil {
 			return false
 		}
@@ -209,11 +213,11 @@ func TestSelectIDs(t *testing.T) {
 	si, mem, ids := buildTestStep(t, 4000, 27, IndexOptions{Bins: 32})
 	ev := si.Evaluator(mem)
 	e := query.MustParse("px > 1e9")
-	got, err := ev.SelectIDs(e)
+	got, err := ev.SelectIDsCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos, err := scan.Select(scanColumns(mem), e)
+	pos, err := scan.SelectCtx(context.Background(), scanColumns(mem), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +257,10 @@ func TestIDIndexMatchesScanProperty(t *testing.T) {
 	f := func(idsRaw []int64, setRaw []int64) bool {
 		x := BuildIDIndex(idsRaw)
 		got := x.Lookup(setRaw)
-		want := scan.FindIDs(idsRaw, setRaw)
+		want, err := scan.FindIDsCtx(context.Background(), idsRaw, setRaw)
+		if err != nil {
+			return false
+		}
 		if len(got) != len(want) {
 			return false
 		}
@@ -292,7 +299,7 @@ func TestEvalStatsAccumulate(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ev.Eval(&query.Compare{Var: "px", Op: query.GT, Value: thr}); err != nil {
+	if _, err := ev.EvalCtx(context.Background(), &query.Compare{Var: "px", Op: query.GT, Value: thr}); err != nil {
 		t.Fatal(err)
 	}
 	if ev.Stats.CandidateChecks == 0 {
@@ -337,7 +344,7 @@ func TestBuildStepIndexValidation(t *testing.T) {
 func TestEvaluatorPositionsSorted(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 2000, 29, IndexOptions{Bins: 16})
 	ev := si.Evaluator(mem)
-	pos, err := ev.Select(query.MustParse("px > 1e8 || y > 0"))
+	pos, err := ev.SelectCtx(context.Background(), query.MustParse("px > 1e8 || y > 0"), 0, ev.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +373,7 @@ func TestAndShortCircuitSkipsCandidateChecks(t *testing.T) {
 		&query.Compare{Var: "px", Op: query.GT, Value: ix.Max() + 1},
 		&query.Compare{Var: "px", Op: query.GT, Value: cut},
 	}}
-	got, err := ev.Eval(e)
+	got, err := ev.EvalCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,8 @@ import (
 	"repro/internal/scan"
 )
 
-// Histogram2D computes a 2D histogram, conditional when cond is non-nil.
+// Histogram2DCtx computes a 2D histogram, conditional when cond is
+// non-nil.
 //
 // The unconditional path reads both columns fully and bins them with a
 // flat counts array — like FastBit, it must examine every record, so its
@@ -25,13 +26,9 @@ import (
 // intermediate array has one element per hit, which is why index-assisted
 // histograms win for selective conditions and lose to a sequential scan
 // once the selection approaches the whole dataset.
-func (ev *Evaluator) Histogram2D(cond query.Expr, spec histogram.Spec2D) (*histogram.Hist2D, error) {
-	return ev.Histogram2DCtx(context.Background(), cond, spec)
-}
-
-// Histogram2DCtx is Histogram2D with cooperative cancellation: ctx is
-// observed during condition evaluation and during the binning pass over
-// the gathered values.
+//
+// ctx is observed during condition evaluation and during the binning pass
+// over the gathered values.
 func (ev *Evaluator) Histogram2DCtx(ctx context.Context, cond query.Expr, spec histogram.Spec2D) (*histogram.Hist2D, error) {
 	if ev.Raw == nil {
 		return nil, fmt.Errorf("fastbit: histograms require a raw reader")
@@ -84,13 +81,9 @@ func (ev *Evaluator) indexOrNil(name string) *Index {
 	return ix
 }
 
-// Histogram1D computes a 1D histogram, conditional when cond is non-nil,
-// using the same two-step strategy as Histogram2D.
-func (ev *Evaluator) Histogram1D(cond query.Expr, spec histogram.Spec1D) (*histogram.Hist1D, error) {
-	return ev.Histogram1DCtx(context.Background(), cond, spec)
-}
-
-// Histogram1DCtx is Histogram1D with cooperative cancellation.
+// Histogram1DCtx computes a 1D histogram, conditional when cond is
+// non-nil, using the same two-step strategy as Histogram2DCtx, with
+// cooperative cancellation.
 func (ev *Evaluator) Histogram1DCtx(ctx context.Context, cond query.Expr, spec histogram.Spec1D) (*histogram.Hist1D, error) {
 	if ev.Raw == nil {
 		return nil, fmt.Errorf("fastbit: histograms require a raw reader")
@@ -144,19 +137,14 @@ func (ev *Evaluator) Histogram1DCtx(ctx context.Context, cond query.Expr, spec h
 	return h, err
 }
 
-// Histogram1DFromBitmaps computes a conditional 1D histogram entirely in
-// index space: the condition's bitmap is ANDed with every bin bitmap of
+// Histogram1DFromBitmapsCtx computes a conditional 1D histogram entirely
+// in index space: the condition's bitmap is ANDed with every bin bitmap of
 // the variable's index and the ones are counted. No raw data is touched.
 // The bin boundaries are the index's own; this is the algorithm family of
 // Stockinger et al. for conditional histograms on SMP machines (paper
 // Section II-C), provided here as the ablation counterpart to the
-// two-step gather-then-bin strategy used by Histogram1D/2D.
-func (ev *Evaluator) Histogram1DFromBitmaps(cond query.Expr, name string) (*histogram.Hist1D, error) {
-	return ev.Histogram1DFromBitmapsCtx(context.Background(), cond, name)
-}
-
-// Histogram1DFromBitmapsCtx is Histogram1DFromBitmaps with cooperative
-// cancellation.
+// two-step gather-then-bin strategy used by Histogram1DCtx/2DCtx. ctx is
+// observed during condition evaluation.
 func (ev *Evaluator) Histogram1DFromBitmapsCtx(ctx context.Context, cond query.Expr, name string) (*histogram.Hist1D, error) {
 	ix, err := ev.index(name)
 	if err != nil {
@@ -181,19 +169,14 @@ func (ev *Evaluator) Histogram1DFromBitmapsCtx(ctx context.Context, cond query.E
 	return h, nil
 }
 
-// Histogram2DFromBitmaps computes a (conditional) 2D histogram entirely in
-// index space: for every (x-bin, y-bin) cell the two bin bitmaps — and the
-// condition bitmap, when present — are intersected and counted. No raw
-// data is touched; the cell grid is the cross product of the two indexes'
-// bins, which is exactly the histogram "cross product" interface of the
-// paper's network-analysis predecessor (Section II-C). Quadratic in bin
-// count, so intended for coarse overview grids.
-func (ev *Evaluator) Histogram2DFromBitmaps(cond query.Expr, xvar, yvar string) (*histogram.Hist2D, error) {
-	return ev.Histogram2DFromBitmapsCtx(context.Background(), cond, xvar, yvar)
-}
-
-// Histogram2DFromBitmapsCtx is Histogram2DFromBitmaps with cooperative
-// cancellation: ctx is observed per y-bin row of the cell grid.
+// Histogram2DFromBitmapsCtx computes a (conditional) 2D histogram
+// entirely in index space: for every (x-bin, y-bin) cell the two bin
+// bitmaps — and the condition bitmap, when present — are intersected and
+// counted. No raw data is touched; the cell grid is the cross product of
+// the two indexes' bins, which is exactly the histogram "cross product"
+// interface of the paper's network-analysis predecessor (Section II-C).
+// Quadratic in bin count, so intended for coarse overview grids. ctx is
+// observed per y-bin row of the cell grid.
 func (ev *Evaluator) Histogram2DFromBitmapsCtx(ctx context.Context, cond query.Expr, xvar, yvar string) (*histogram.Hist2D, error) {
 	ixX, err := ev.index(xvar)
 	if err != nil {

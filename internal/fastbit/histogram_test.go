@@ -2,6 +2,7 @@ package fastbit
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/histogram"
@@ -13,11 +14,11 @@ func TestUnconditionalHistogram2DMatchesScan(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 6000, 31, IndexOptions{Bins: 64})
 	ev := si.Evaluator(mem)
 	spec := histogram.NewSpec2D("x", "px", 32, 32)
-	got, err := ev.Histogram2D(nil, spec)
+	got, err := ev.Histogram2DCtx(context.Background(), nil, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scan.Histogram2D(scanColumns(mem), "x", "px", got.XEdges, got.YEdges)
+	want, err := scan.ConditionalHistogram2DCtx(context.Background(), scanColumns(mem), "x", "px", nil, got.XEdges, got.YEdges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +37,11 @@ func TestConditionalHistogram2DMatchesScan(t *testing.T) {
 	ev := si.Evaluator(mem)
 	cond := query.MustParse("px > 1e9")
 	spec := histogram.NewSpec2D("x", "px", 16, 16).WithXRange(0, 1e-3).WithYRange(1e9, 1e11)
-	got, err := ev.Histogram2D(cond, spec)
+	got, err := ev.Histogram2DCtx(context.Background(), cond, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scan.ConditionalHistogram2D(scanColumns(mem), "x", "px", cond, got.XEdges, got.YEdges)
+	want, err := scan.ConditionalHistogram2DCtx(context.Background(), scanColumns(mem), "x", "px", cond, got.XEdges, got.YEdges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +60,11 @@ func TestConditionalHistogramDerivedRange(t *testing.T) {
 	ev := si.Evaluator(mem)
 	cond := query.MustParse("px > 1e9")
 	spec := histogram.NewSpec2D("x", "px", 8, 8) // ranges derived from selection
-	h, err := ev.Histogram2D(cond, spec)
+	h, err := ev.Histogram2DCtx(context.Background(), cond, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnt, err := ev.Count(cond)
+	cnt, err := ev.CountCtx(context.Background(), cond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestAdaptiveHistogram2D(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 8000, 34, IndexOptions{Bins: 64})
 	ev := si.Evaluator(mem)
 	spec := histogram.NewSpec2D("x", "px", 16, 16).WithBinning(histogram.Adaptive)
-	h, err := ev.Histogram2D(nil, spec)
+	h, err := ev.Histogram2DCtx(context.Background(), nil, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +109,11 @@ func TestHistogram1DFromIndexCounts(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 5000, 35, IndexOptions{Bins: 32})
 	ev := si.Evaluator(mem)
 	spec := histogram.NewSpec1D("px", 32) // matches index bins exactly
-	h, err := ev.Histogram1D(nil, spec)
+	h, err := ev.Histogram1DCtx(context.Background(), nil, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scan.Histogram1D(scanColumns(mem), "px", nil, h.Edges)
+	want, err := scan.Histogram1DCtx(context.Background(), scanColumns(mem), "px", nil, h.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,18 +133,18 @@ func TestHistogram1DConditionalAndAdaptive(t *testing.T) {
 	cond := query.MustParse("px > 0")
 	spec := histogram.Spec1D{Var: "px", Bins: 10, Binning: histogram.Adaptive,
 		Lo: 0, Hi: si.Columns["px"].Max()}
-	h, err := ev.Histogram1D(cond, spec)
+	h, err := ev.Histogram1DCtx(context.Background(), cond, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnt, _ := ev.Count(cond)
+	cnt, _ := ev.CountCtx(context.Background(), cond)
 	// Values equal to 0 are excluded by the condition but lie on the low
 	// edge; totals must still match the selection size.
 	if h.Total() != cnt {
 		t.Fatalf("1D conditional total %d != count %d", h.Total(), cnt)
 	}
 	// Unknown variable errors.
-	if _, err := ev.Histogram1D(nil, histogram.NewSpec1D("zz", 8)); err == nil {
+	if _, err := ev.Histogram1DCtx(context.Background(), nil, histogram.NewSpec1D("zz", 8)); err == nil {
 		t.Fatal("unknown variable accepted")
 	}
 }
@@ -152,10 +153,10 @@ func TestHistogramRequiresRawReader(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 100, 37, IndexOptions{Bins: 8})
 	ev := si.Evaluator(mem)
 	ev.Raw = nil
-	if _, err := ev.Histogram2D(nil, histogram.NewSpec2D("x", "px", 4, 4)); err == nil {
+	if _, err := ev.Histogram2DCtx(context.Background(), nil, histogram.NewSpec2D("x", "px", 4, 4)); err == nil {
 		t.Fatal("nil raw reader accepted")
 	}
-	if _, err := ev.Histogram1D(nil, histogram.NewSpec1D("x", 4)); err == nil {
+	if _, err := ev.Histogram1DCtx(context.Background(), nil, histogram.NewSpec1D("x", 4)); err == nil {
 		t.Fatal("nil raw reader accepted")
 	}
 }
@@ -178,11 +179,11 @@ func TestStepIndexSerializationRoundTrip(t *testing.T) {
 	}
 	// Same query answers through both.
 	e := query.MustParse("px > 1e9 && y > 0")
-	got, err := si2.Evaluator(mem).Select(e)
+	got, err := si2.Evaluator(mem).SelectCtx(context.Background(), e, 0, si2.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := si.Evaluator(mem).Select(e)
+	want, err := si.Evaluator(mem).SelectCtx(context.Background(), e, 0, si.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +257,11 @@ func TestHistogram1DFromBitmapsMatchesScan(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 6000, 41, IndexOptions{Bins: 24})
 	ev := si.Evaluator(mem)
 	cond := query.MustParse("y > 0")
-	got, err := ev.Histogram1DFromBitmaps(cond, "px")
+	got, err := ev.Histogram1DFromBitmapsCtx(context.Background(), cond, "px")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scan.Histogram1D(scanColumns(mem), "px", cond, got.Edges)
+	want, err := scan.Histogram1DCtx(context.Background(), scanColumns(mem), "px", cond, got.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,17 +271,17 @@ func TestHistogram1DFromBitmapsMatchesScan(t *testing.T) {
 		}
 	}
 	// Unconditional comes straight from bin counts.
-	un, err := ev.Histogram1DFromBitmaps(nil, "px")
+	un, err := ev.Histogram1DFromBitmapsCtx(context.Background(), nil, "px")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if un.Total() != si.N {
 		t.Fatalf("unconditional total = %d, want %d", un.Total(), si.N)
 	}
-	if _, err := ev.Histogram1DFromBitmaps(nil, "nope"); err == nil {
+	if _, err := ev.Histogram1DFromBitmapsCtx(context.Background(), nil, "nope"); err == nil {
 		t.Fatal("unknown variable accepted")
 	}
-	if _, err := ev.Histogram1DFromBitmaps(query.MustParse("zz > 0"), "px"); err == nil {
+	if _, err := ev.Histogram1DFromBitmapsCtx(context.Background(), query.MustParse("zz > 0"), "px"); err == nil {
 		t.Fatal("bad condition accepted")
 	}
 }
@@ -289,11 +290,11 @@ func TestHistogram2DFromBitmapsMatchesScan(t *testing.T) {
 	si, mem, _ := buildTestStep(t, 4000, 42, IndexOptions{Bins: 16})
 	ev := si.Evaluator(mem)
 	for _, cond := range []query.Expr{nil, query.MustParse("y > 0")} {
-		got, err := ev.Histogram2DFromBitmaps(cond, "x", "px")
+		got, err := ev.Histogram2DFromBitmapsCtx(context.Background(), cond, "x", "px")
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := scan.ConditionalHistogram2D(scanColumns(mem), "x", "px", cond, got.XEdges, got.YEdges)
+		want, err := scan.ConditionalHistogram2DCtx(context.Background(), scanColumns(mem), "x", "px", cond, got.XEdges, got.YEdges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,13 +304,13 @@ func TestHistogram2DFromBitmapsMatchesScan(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ev.Histogram2DFromBitmaps(nil, "nope", "px"); err == nil {
+	if _, err := ev.Histogram2DFromBitmapsCtx(context.Background(), nil, "nope", "px"); err == nil {
 		t.Fatal("unknown x accepted")
 	}
-	if _, err := ev.Histogram2DFromBitmaps(nil, "x", "nope"); err == nil {
+	if _, err := ev.Histogram2DFromBitmapsCtx(context.Background(), nil, "x", "nope"); err == nil {
 		t.Fatal("unknown y accepted")
 	}
-	if _, err := ev.Histogram2DFromBitmaps(query.MustParse("zz > 0"), "x", "px"); err == nil {
+	if _, err := ev.Histogram2DFromBitmapsCtx(context.Background(), query.MustParse("zz > 0"), "x", "px"); err == nil {
 		t.Fatal("bad condition accepted")
 	}
 }

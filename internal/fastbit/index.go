@@ -130,15 +130,10 @@ type EvalStats struct {
 	ApproxRows uint64
 }
 
-// Evaluate returns the bitmap of records whose value lies in iv. raw is
-// consulted only for records in boundary bins; it may be nil when the
-// interval is aligned with bin boundaries.
-func (ix *Index) Evaluate(iv query.Interval, raw RawValues) (*bitmap.Vector, EvalStats, error) {
-	return ix.EvaluateCtx(context.Background(), iv, raw, 0, ix.N)
-}
-
-// EvaluateCtx is Evaluate restricted to the records in [lo, hi), with
-// cooperative cancellation: the candidate check loop observes ctx every
+// EvaluateCtx returns the bitmap of the records in [lo, hi) whose value
+// lies in iv. raw is consulted only for records in boundary bins; it may
+// be nil when the interval is aligned with bin boundaries. Cancellation is
+// cooperative: the candidate check loop observes ctx every
 // checkpointRows records. Only boundary-bin records inside the range are
 // gathered and checked (st.CandidateChecks counts just those), so the
 // returned bitmap is exact inside [lo, hi); outside it, boundary-bin

@@ -1,6 +1,7 @@
 package fastbit
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -83,7 +84,7 @@ func TestBuildIndexConstantColumn(t *testing.T) {
 		}
 		return out, nil
 	}
-	v, _, err := ix.Evaluate(query.Interval{Lo: 5, Hi: 5}, raw)
+	v, _, err := ix.EvaluateCtx(context.Background(), query.Interval{Lo: 5, Hi: 5}, raw, 0, ix.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func evalBoth(t *testing.T, ix *Index, vals []float64, iv query.Interval) EvalSt
 		}
 		return out, nil
 	}
-	got, st, err := ix.Evaluate(iv, raw)
+	got, st, err := ix.EvaluateCtx(context.Background(), iv, raw, 0, ix.N)
 	if err != nil {
 		t.Fatalf("Evaluate(%v): %v", iv, err)
 	}
@@ -180,7 +181,7 @@ func TestEvaluateRandomIntervalsProperty(t *testing.T) {
 			}
 			return out, nil
 		}
-		got, _, err := ix.Evaluate(iv, raw)
+		got, _, err := ix.EvaluateCtx(context.Background(), iv, raw, 0, ix.N)
 		if err != nil {
 			return false
 		}
@@ -205,7 +206,7 @@ func TestAlignedQueryNeedsNoCandidateCheck(t *testing.T) {
 	}
 	// Interval exactly on bin boundaries, half-open: pure index answer.
 	iv := query.Interval{Lo: ix.Bounds[3], Hi: ix.Bounds[7], HiOpen: true}
-	got, st, err := ix.Evaluate(iv, nil) // nil raw reader must be fine
+	got, st, err := ix.EvaluateCtx(context.Background(), iv, nil, 0, ix.N) // nil raw reader must be fine
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestUnalignedQueryWithoutRawReaderFails(t *testing.T) {
 	if !found {
 		t.Skip("no straddleable bin in test data")
 	}
-	if _, _, err := ix.Evaluate(query.Interval{Lo: cut, Hi: math.Inf(1)}, nil); err == nil {
+	if _, _, err := ix.EvaluateCtx(context.Background(), query.Interval{Lo: cut, Hi: math.Inf(1)}, nil, 0, ix.N); err == nil {
 		t.Fatal("unaligned query without raw reader succeeded")
 	}
 }
@@ -363,7 +364,7 @@ func TestBinCountsMatchHistogram(t *testing.T) {
 	}
 	counts := ix.BinCounts()
 	// Recompute with the scan baseline over the same edges.
-	h, err := scan.Histogram1D(scan.Columns{"px": vals}, "px", nil, ix.Bounds)
+	h, err := scan.Histogram1DCtx(context.Background(), scan.Columns{"px": vals}, "px", nil, ix.Bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestExactIndexLowCardinality(t *testing.T) {
 		{Lo: 0.5, Hi: math.Inf(1)},              // >= 0.5
 		{Lo: math.Inf(-1), Hi: 2, HiOpen: true}, // < 2
 	} {
-		got, st, err := ix.Evaluate(iv, nil)
+		got, st, err := ix.EvaluateCtx(context.Background(), iv, nil, 0, ix.N)
 		if err != nil {
 			t.Fatalf("%v: %v", iv, err)
 		}
@@ -447,7 +448,7 @@ func TestExactIndexAdjacentFloats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := ix.Evaluate(query.Interval{Lo: b, Hi: b}, nil)
+	got, st, err := ix.EvaluateCtx(context.Background(), query.Interval{Lo: b, Hi: b}, nil, 0, ix.N)
 	if err != nil {
 		t.Fatal(err)
 	}

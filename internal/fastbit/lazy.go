@@ -89,15 +89,11 @@ func (ls *LazyStep) IndexBytesRead() uint64 {
 	return ls.ioBytes
 }
 
-// Column loads (or returns the cached) range index for one variable.
-func (ls *LazyStep) Column(name string) (*Index, error) {
-	return ls.ColumnCost(name, nil)
-}
-
-// ColumnCost is Column with per-query cost attribution: when the load
-// misses the cache, the section bytes actually read (measured as the
-// ioBytes delta under the lock, so attribution is exact) and the load
-// itself are charged to c.
+// ColumnCost loads (or returns the cached) range index for one variable,
+// with per-query cost attribution (c may be nil): when the load misses the
+// cache, the section bytes actually read (measured as the ioBytes delta
+// under the lock, so attribution is exact) and the load itself are
+// charged to c.
 func (ls *LazyStep) ColumnCost(name string, c *obs.Cost) (*Index, error) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
@@ -309,14 +305,10 @@ func (ls *LazyStep) readSection(sec section) ([]byte, error) {
 	return blob, nil
 }
 
-// Evaluator returns a query evaluator that loads indexes on demand.
-func (ls *LazyStep) Evaluator(raw RawReader) *Evaluator {
-	return ls.CostEvaluator(raw, nil)
-}
-
-// CostEvaluator is Evaluator with per-query cost attribution: index
-// loads triggered by the returned evaluator are charged to c, and the
-// evaluator itself charges its bitmap and candidate-check work there.
+// CostEvaluator returns a query evaluator that loads indexes on demand,
+// with per-query cost attribution (c may be nil): index loads triggered
+// by the returned evaluator are charged to c, and the evaluator itself
+// charges its bitmap and candidate-check work there.
 func (ls *LazyStep) CostEvaluator(raw RawReader, c *obs.Cost) *Evaluator {
 	return &Evaluator{
 		N: ls.dir.n,

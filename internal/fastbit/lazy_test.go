@@ -1,6 +1,7 @@
 package fastbit
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -77,7 +78,7 @@ func TestLazyStepLoadsOnDemand(t *testing.T) {
 	// No column section was touched: loading every column afterwards must
 	// add the remaining bulk of the file.
 	for _, name := range ls.Columns() {
-		if _, err := ls.Column(name); err != nil {
+		if _, err := ls.ColumnCost(name, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,20 +98,20 @@ func TestLazyStepLoadsOnDemand(t *testing.T) {
 	afterID = ls.IndexBytesRead()
 
 	// Loading a column adds its section once; a repeat is cached.
-	if _, err := ls.Column("px"); err != nil {
+	if _, err := ls.ColumnCost("px", nil); err != nil {
 		t.Fatal(err)
 	}
 	afterPx := ls.IndexBytesRead()
 	if afterPx <= afterID {
 		t.Fatal("px section not loaded")
 	}
-	if _, err := ls.Column("px"); err != nil {
+	if _, err := ls.ColumnCost("px", nil); err != nil {
 		t.Fatal(err)
 	}
 	if ls.IndexBytesRead() != afterPx {
 		t.Fatal("cached column reloaded")
 	}
-	if _, err := ls.Column("nope"); err == nil {
+	if _, err := ls.ColumnCost("nope", nil); err == nil {
 		t.Fatal("unknown column accepted")
 	}
 	_ = mem
@@ -130,11 +131,11 @@ func TestLazyEvaluatorMatchesEager(t *testing.T) {
 	}
 	for _, q := range queries {
 		e := query.MustParse(q)
-		lazy, err := ls.Evaluator(mem).Select(e)
+		lazy, err := ls.CostEvaluator(mem, nil).SelectCtx(context.Background(), e, 0, ls.N())
 		if err != nil {
 			t.Fatalf("%q lazy: %v", q, err)
 		}
-		eager, err := si.Evaluator(mem).Select(e)
+		eager, err := si.Evaluator(mem).SelectCtx(context.Background(), e, 0, si.N)
 		if err != nil {
 			t.Fatalf("%q eager: %v", q, err)
 		}
@@ -178,15 +179,15 @@ func TestEvaluatorLookupFallbacks(t *testing.T) {
 		IDVar: "id",
 		Raw:   mem,
 	}
-	if _, err := ev.Select(query.MustParse("px > 0 && y > 0")); err != nil {
+	if _, err := ev.SelectCtx(context.Background(), query.MustParse("px > 0 && y > 0"), 0, ev.N); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Select(query.MustParse("zz > 0")); err == nil {
+	if _, err := ev.SelectCtx(context.Background(), query.MustParse("zz > 0"), 0, ev.N); err == nil {
 		t.Fatal("unknown var accepted via lookup")
 	}
 	// No lookup, no static entry.
 	ev2 := &Evaluator{N: si.N, Indexes: map[string]*Index{}, Raw: mem}
-	if _, err := ev2.Select(query.MustParse("px > 0")); err == nil {
+	if _, err := ev2.SelectCtx(context.Background(), query.MustParse("px > 0"), 0, ev2.N); err == nil {
 		t.Fatal("missing index accepted")
 	}
 }

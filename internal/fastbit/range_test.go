@@ -134,7 +134,7 @@ func TestSelectRangeMatchesClippedWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ls.Close()
-	indexes := map[string]func(RawReader) *Evaluator{"eager": si.Evaluator, "lazy": ls.Evaluator}
+	indexes := map[string]func(RawReader) *Evaluator{"eager": si.Evaluator, "lazy": func(raw RawReader) *Evaluator { return ls.CostEvaluator(raw, nil) }}
 
 	single, compound := rangeQueries(mem)
 	ranges := testRanges(uint64(n), rand.New(rand.NewSource(9)))

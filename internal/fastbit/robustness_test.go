@@ -99,7 +99,7 @@ func TestOpenLazyTruncatedFile(t *testing.T) {
 	defer ls.Close()
 	sawError := false
 	for _, name := range ls.Columns() {
-		if _, err := ls.Column(name); err != nil {
+		if _, err := ls.ColumnCost(name, nil); err != nil {
 			sawError = true
 		}
 	}
@@ -153,7 +153,7 @@ func TestSectionCRCDetectsBitFlips(t *testing.T) {
 	for _, name := range d.order {
 		name := name
 		checkFlip("column "+name, d.cols[name], func(ls *LazyStep) error {
-			_, err := ls.Column(name)
+			_, err := ls.ColumnCost(name, nil)
 			return err
 		})
 	}

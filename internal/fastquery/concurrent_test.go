@@ -1,6 +1,7 @@
 package fastquery
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -30,11 +31,11 @@ func TestConcurrentReaders(t *testing.T) {
 	spec := histogram.NewSpec2D("x", "px", 24, 24)
 
 	// Reference results, computed serially.
-	wantCount, err := shared.Count(expr, FastBit)
+	wantCount, err := shared.CountCtx(context.Background(), expr, FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantHist, err := shared.Histogram2D(expr, spec, FastBit)
+	wantHist, err := shared.Histogram2DCtx(context.Background(), expr, spec, FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestConcurrentReaders(t *testing.T) {
 				st = own
 			}
 			for i := 0; i < iters; i++ {
-				n, err := st.Count(expr, backend)
+				n, err := st.CountCtx(context.Background(), expr, backend)
 				if err != nil {
 					t.Error(err)
 					return
@@ -73,7 +74,7 @@ func TestConcurrentReaders(t *testing.T) {
 					t.Errorf("worker %d: count %d, want %d", w, n, wantCount)
 					return
 				}
-				h, err := st.Histogram2D(expr, spec, backend)
+				h, err := st.Histogram2DCtx(context.Background(), expr, spec, backend)
 				if err != nil {
 					t.Error(err)
 					return

@@ -15,11 +15,12 @@
 // # Concurrency
 //
 // Source and Step are safe for concurrent readers: any number of
-// goroutines may call Count, Select, Histogram1D/2D and MinMax on the
-// same Step (or open Steps from the same Source) simultaneously. Data
-// reads use positioned I/O (ReadAt), the lazy index guards its section
-// caches with a mutex, and every evaluation allocates its own scratch
-// state. Close must not race with in-flight queries on the same Step.
+// goroutines may call CountCtx, SelectCtx, Histogram1DCtx/2DCtx and
+// MinMax on the same Step (or open Steps from the same Source)
+// simultaneously. Data reads use positioned I/O (ReadAt), the lazy index
+// guards its section caches with a mutex, and every evaluation allocates
+// its own scratch state. Close must not race with in-flight queries on
+// the same Step.
 package fastquery
 
 import (
@@ -243,24 +244,19 @@ func (st *Step) IOBytes() uint64 { return st.file.BytesRead() }
 
 // ReadColumn reads a full column as float64.
 func (st *Step) ReadColumn(name string) ([]float64, error) {
-	return st.file.ReadAsFloat64(name)
+	return st.file.ReadAsFloat64Cost(name, nil)
 }
 
 // ReadIDs reads the identifier column.
 func (st *Step) ReadIDs() ([]int64, error) {
-	return st.file.ReadInt64(st.idVar())
+	return st.file.ReadInt64Cost(st.idVar(), nil)
 }
 
-// ValuesAt gathers a column's values at the given sorted row positions,
-// reading only the chunks that contain them. This is the shard executor's
-// access path: a fragment evaluates over its row range of the step, which
-// is a small slice of the full column.
-func (st *Step) ValuesAt(name string, positions []uint64) ([]float64, error) {
-	return st.ValuesAtCtx(context.Background(), name, positions)
-}
-
-// ValuesAtCtx is ValuesAt charging the read to the context's per-query
-// cost accumulator, when one is attached.
+// ValuesAtCtx gathers a column's values at the given sorted row
+// positions, reading only the chunks that contain them and charging the
+// read to ctx's per-query cost accumulator, when one is attached. This is
+// the shard executor's access path: a fragment evaluates over its row
+// range of the step, which is a small slice of the full column.
 func (st *Step) ValuesAtCtx(ctx context.Context, name string, positions []uint64) ([]float64, error) {
 	return st.file.ReadFloat64AtCost(name, positions, obs.CostFromContext(ctx))
 }
@@ -349,15 +345,10 @@ func (st *Step) loadScanColumns(ctx context.Context, e query.Expr, extra ...stri
 	return cols, nil
 }
 
-// Select returns the sorted record positions matching e.
-func (st *Step) Select(e query.Expr, b Backend) ([]uint64, error) {
-	return st.SelectCtx(context.Background(), e, b)
-}
-
-// SelectCtx is Select with cooperative cancellation: both backends observe
-// ctx at periodic checkpoints, so a canceled query stops within one
-// checkpoint interval (scan.CheckpointRows rows). It is SelectRangeCtx
-// over the whole step.
+// SelectCtx returns the sorted record positions matching e, with
+// cooperative cancellation: both backends observe ctx at periodic
+// checkpoints, so a canceled query stops within one checkpoint interval
+// (scan.CheckpointRows rows). It is SelectRangeCtx over the whole step.
 func (st *Step) SelectCtx(ctx context.Context, e query.Expr, b Backend) ([]uint64, error) {
 	return st.SelectRangeCtx(ctx, e, b, 0, st.Rows())
 }
@@ -398,12 +389,8 @@ func (st *Step) SelectRangeCtx(ctx context.Context, e query.Expr, b Backend, lo,
 	}
 }
 
-// Count returns the number of records matching e.
-func (st *Step) Count(e query.Expr, b Backend) (uint64, error) {
-	return st.CountCtx(context.Background(), e, b)
-}
-
-// CountCtx is Count with cooperative cancellation.
+// CountCtx returns the number of records matching e, with cooperative
+// cancellation.
 func (st *Step) CountCtx(ctx context.Context, e query.Expr, b Backend) (uint64, error) {
 	pos, err := st.SelectCtx(ctx, e, b)
 	if err != nil {
@@ -412,35 +399,19 @@ func (st *Step) CountCtx(ctx context.Context, e query.Expr, b Backend) (uint64, 
 	return uint64(len(pos)), nil
 }
 
-// SelectIDs returns the identifiers of records matching e.
-func (st *Step) SelectIDs(e query.Expr, b Backend) ([]int64, error) {
-	return st.SelectIDsCtx(context.Background(), e, b)
-}
-
-// SelectIDsCtx is SelectIDs with cooperative cancellation.
+// SelectIDsCtx returns the identifiers of records matching e, with
+// cooperative cancellation.
 func (st *Step) SelectIDsCtx(ctx context.Context, e query.Expr, b Backend) ([]int64, error) {
 	pos, err := st.SelectCtx(ctx, e, b)
 	if err != nil {
 		return nil, err
 	}
-	vals, err := st.file.ReadFloat64AtCost(st.idVar(), pos, obs.CostFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		out[i] = int64(v)
-	}
-	return out, nil
+	return st.IDsAtCtx(ctx, pos)
 }
 
-// FindIDs returns the sorted positions of records whose identifier is in
-// the search set: the particle-tracking primitive (paper Section V-B).
-func (st *Step) FindIDs(ids []int64, b Backend) ([]uint64, error) {
-	return st.FindIDsCtx(context.Background(), ids, b)
-}
-
-// FindIDsCtx is FindIDs with cooperative cancellation.
+// FindIDsCtx returns the sorted positions of records whose identifier is
+// in the search set, with cooperative cancellation: the particle-tracking
+// primitive (paper Section V-B).
 func (st *Step) FindIDsCtx(ctx context.Context, ids []int64, b Backend) ([]uint64, error) {
 	switch b {
 	case FastBit:
@@ -463,12 +434,8 @@ func (st *Step) FindIDsCtx(ctx context.Context, ids []int64, b Backend) ([]uint6
 	}
 }
 
-// Histogram2D computes a 2D histogram; cond may be nil for unconditional.
-func (st *Step) Histogram2D(cond query.Expr, spec histogram.Spec2D, b Backend) (*histogram.Hist2D, error) {
-	return st.Histogram2DCtx(context.Background(), cond, spec, b)
-}
-
-// Histogram2DCtx is Histogram2D with cooperative cancellation.
+// Histogram2DCtx computes a 2D histogram with cooperative cancellation;
+// cond may be nil for unconditional.
 func (st *Step) Histogram2DCtx(ctx context.Context, cond query.Expr, spec histogram.Spec2D, b Backend) (*histogram.Hist2D, error) {
 	switch b {
 	case FastBit:
@@ -488,12 +455,8 @@ func (st *Step) Histogram2DCtx(ctx context.Context, cond query.Expr, spec histog
 	}
 }
 
-// Histogram1D computes a 1D histogram; cond may be nil.
-func (st *Step) Histogram1D(cond query.Expr, spec histogram.Spec1D, b Backend) (*histogram.Hist1D, error) {
-	return st.Histogram1DCtx(context.Background(), cond, spec, b)
-}
-
-// Histogram1DCtx is Histogram1D with cooperative cancellation.
+// Histogram1DCtx computes a 1D histogram with cooperative cancellation;
+// cond may be nil.
 func (st *Step) Histogram1DCtx(ctx context.Context, cond query.Expr, spec histogram.Spec1D, b Backend) (*histogram.Hist1D, error) {
 	switch b {
 	case FastBit:
@@ -541,16 +504,12 @@ func (st *Step) Histogram2DIndexOnlyCtx(ctx context.Context, cond query.Expr, xv
 	return ev.Histogram2DFromBitmapsCtx(ctx, cond, xvar, yvar)
 }
 
-// Histogram2DParallel computes a conditional 2D histogram with the SMP
-// data-parallel algorithm (rows sharded across workers, partial histograms
-// merged — scan.ParallelHistogram2D). It always runs on the scan path;
-// the index-accelerated path parallelises across timesteps instead.
-func (st *Step) Histogram2DParallel(cond query.Expr, spec histogram.Spec2D, workers int) (*histogram.Hist2D, error) {
-	return st.Histogram2DParallelCtx(context.Background(), cond, spec, workers)
-}
-
-// Histogram2DParallelCtx is Histogram2DParallel with cooperative
-// cancellation: every shard worker observes ctx independently.
+// Histogram2DParallelCtx computes a conditional 2D histogram with the
+// SMP data-parallel algorithm (rows sharded across workers, partial
+// histograms merged — scan.ParallelHistogram2DCtx), with cooperative
+// cancellation: every shard worker observes ctx independently. It always
+// runs on the scan path; the index-accelerated path parallelises across
+// timesteps instead.
 func (st *Step) Histogram2DParallelCtx(ctx context.Context, cond query.Expr, spec histogram.Spec2D, workers int) (*histogram.Hist2D, error) {
 	cols, err := st.loadScanColumns(ctx, cond, spec.XVar, spec.YVar)
 	if err != nil {
@@ -645,7 +604,7 @@ func gather(vals []float64, pos []uint64) []float64 {
 // metadata (free) over a column scan.
 func (st *Step) MinMax(name string) (lo, hi float64, err error) {
 	if st.index != nil && st.index.HasColumn(name) {
-		ix, err := st.index.Column(name)
+		ix, err := st.index.ColumnCost(name, nil)
 		if err != nil {
 			return math.NaN(), math.NaN(), err
 		}

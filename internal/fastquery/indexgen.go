@@ -57,7 +57,7 @@ func BuildIndexes(dir string, opt IndexOptions) error {
 		}
 		cols := map[string][]float64{}
 		for _, name := range vars {
-			col, err := f.ReadAsFloat64(name)
+			col, err := f.ReadAsFloat64Cost(name, nil)
 			if err != nil {
 				f.Close()
 				return fmt.Errorf("fastquery: step %d: %w", t, err)
@@ -66,7 +66,7 @@ func BuildIndexes(dir string, opt IndexOptions) error {
 		}
 		var ids []int64
 		if f.HasColumn(idVar) {
-			if ids, err = f.ReadInt64(idVar); err != nil {
+			if ids, err = f.ReadInt64Cost(idVar, nil); err != nil {
 				f.Close()
 				return fmt.Errorf("fastquery: step %d: %w", t, err)
 			}

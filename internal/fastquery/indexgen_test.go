@@ -1,6 +1,7 @@
 package fastquery
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fastbit"
@@ -48,11 +49,11 @@ func TestBuildIndexes(t *testing.T) {
 		t.Fatal("index not picked up")
 	}
 	e := query.MustParse("px > 1e9")
-	fb, err := st.Select(e, FastBit)
+	fb, err := st.SelectCtx(context.Background(), e, FastBit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := st.Select(e, Scan)
+	sc, err := st.SelectCtx(context.Background(), e, Scan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestBuildIndexes(t *testing.T) {
 		t.Fatalf("backends disagree after indexgen: %d vs %d", len(fb), len(sc))
 	}
 	// ID index works.
-	if _, err := st.FindIDs([]int64{1, 2, 3}, FastBit); err != nil {
+	if _, err := st.FindIDsCtx(context.Background(), []int64{1, 2, 3}, FastBit); err != nil {
 		t.Fatal(err)
 	}
 
@@ -94,11 +95,11 @@ func TestBuildIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if _, err := st2.Select(query.MustParse("px > 0"), FastBit); err != nil {
+	if _, err := st2.SelectCtx(context.Background(), query.MustParse("px > 0"), FastBit); err != nil {
 		t.Fatal(err)
 	}
 	// Unindexed variable now fails on the FastBit backend.
-	if _, err := st2.Select(query.MustParse("y > 0"), FastBit); err == nil {
+	if _, err := st2.SelectCtx(context.Background(), query.MustParse("y > 0"), FastBit); err == nil {
 		t.Fatal("unindexed variable answered by FastBit backend")
 	}
 }

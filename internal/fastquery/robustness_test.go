@@ -83,7 +83,7 @@ func TestTruncatedIndexFallsBackToScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := st.Count(e, FastBit)
+	want, err := st.CountCtx(context.Background(), e, FastBit)
 	if err != nil || want == 0 {
 		t.Fatalf("baseline count = %d, %v", want, err)
 	}
@@ -116,13 +116,13 @@ func TestTruncatedIndexFallsBackToScan(t *testing.T) {
 	}
 
 	// Scan queries keep working and agree with the pre-damage answer.
-	got, err := st0.Count(e, Scan)
+	got, err := st0.CountCtx(context.Background(), e, Scan)
 	if err != nil || got != want {
 		t.Fatalf("scan count after truncation = %d, %v; want %d", got, err, want)
 	}
 
 	// FastBit requests get a clear, fatal (non-retryable) explanation.
-	_, err = st0.Count(e, FastBit)
+	_, err = st0.CountCtx(context.Background(), e, FastBit)
 	if err == nil || !strings.Contains(err.Error(), "index unavailable") {
 		t.Fatalf("fastbit count after truncation: err = %v, want index-unavailable", err)
 	}
@@ -160,7 +160,7 @@ func TestBitFlippedIndexFallsBackToScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := st.Count(e, Scan)
+	want, err := st.CountCtx(context.Background(), e, Scan)
 	if err != nil || want == 0 {
 		t.Fatalf("baseline count = %d, %v", want, err)
 	}
@@ -191,13 +191,13 @@ func TestBitFlippedIndexFallsBackToScan(t *testing.T) {
 
 	// Whether the flip was caught at open (index disabled) or deferred to
 	// section load, the step must never panic and scan must stay correct.
-	got, err := st1.Count(e, Scan)
+	got, err := st1.CountCtx(context.Background(), e, Scan)
 	if err != nil || got != want {
 		t.Fatalf("scan count after bit flip = %d, %v; want %d", got, err, want)
 	}
 	if st1.HasIndex() {
 		// Open-time checks passed; the CRC must catch it at query time.
-		if _, err := st1.Count(e, FastBit); err == nil {
+		if _, err := st1.CountCtx(context.Background(), e, FastBit); err == nil {
 			t.Fatal("fastbit query on bit-flipped index succeeded")
 		}
 	} else if st1.IndexError() == nil {

@@ -1,6 +1,9 @@
 package histogram
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // AdaptiveEdgesFromCounts merges the bins of a fine uniform histogram
 // (given by its edges and per-bin counts) into `bins` contiguous groups of
@@ -67,7 +70,7 @@ func AdaptiveEdgesFromCounts(fineEdges []float64, fineCounts []uint64, bins int,
 // it. Values outside [lo, hi] are ignored.
 func AdaptiveEdges(values []float64, lo, hi float64, bins int, minDensity float64) ([]float64, error) {
 	fine := UniformEdges(lo, hi, bins*AdaptiveRefine)
-	h, err := Compute1D("", values, fine)
+	h, err := Compute1DCtx(context.Background(), "", values, fine)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package histogram
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -132,7 +133,7 @@ func slowBin(edges []float64, v float64) int {
 
 func TestCompute1D(t *testing.T) {
 	vals := []float64{0, 0.5, 1.5, 2.5, 9.99, 10, -5, 11}
-	h, err := Compute1D("x", vals, UniformEdges(0, 10, 10))
+	h, err := Compute1DCtx(context.Background(), "x", vals, UniformEdges(0, 10, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestHistogramConservesMassProperty(t *testing.T) {
 				inRange++
 			}
 		}
-		h, err := Compute1D("v", vals, edges)
+		h, err := Compute1DCtx(context.Background(), "v", vals, edges)
 		if err != nil {
 			return false
 		}
@@ -194,15 +195,15 @@ func TestHistogramConservesMassProperty(t *testing.T) {
 
 func TestMerge(t *testing.T) {
 	e := UniformEdges(0, 1, 4)
-	a, _ := Compute1D("v", []float64{0.1, 0.6}, e)
-	b, _ := Compute1D("v", []float64{0.6, 0.9}, e)
+	a, _ := Compute1DCtx(context.Background(), "v", []float64{0.1, 0.6}, e)
+	b, _ := Compute1DCtx(context.Background(), "v", []float64{0.6, 0.9}, e)
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
 	if a.Total() != 4 || a.Counts[2] != 2 {
 		t.Fatalf("merged = %v", a.Counts)
 	}
-	c, _ := Compute1D("v", []float64{0.5}, UniformEdges(0, 1, 5))
+	c, _ := Compute1DCtx(context.Background(), "v", []float64{0.5}, UniformEdges(0, 1, 5))
 	if err := a.Merge(c); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
@@ -289,7 +290,7 @@ func TestAdaptiveEdgesEqualWeight(t *testing.T) {
 	if len(edges) != 17 {
 		t.Fatalf("got %d edges, want 17", len(edges))
 	}
-	h, err := Compute1D("v", vals, edges)
+	h, err := Compute1DCtx(context.Background(), "v", vals, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestAdaptiveEdgesUniformDataStaysUniformish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, _ := Compute1D("v", vals, edges)
+	h, _ := Compute1DCtx(context.Background(), "v", vals, edges)
 	target := float64(h.Total()) / 8
 	for i, c := range h.Counts {
 		if float64(c) < 0.5*target || float64(c) > 1.6*target {
@@ -390,7 +391,7 @@ func TestAdaptiveMinDensity(t *testing.T) {
 		// Both must produce 9 edges (8 bins) or fewer only via degenerate merging.
 		t.Logf("noFloor=%v floored=%v", noFloor, floored)
 	}
-	hf, _ := Compute1D("v", vals, floored)
+	hf, _ := Compute1DCtx(context.Background(), "v", vals, floored)
 	for i := range hf.Counts {
 		w := hf.Width(i)
 		if w > 0 && hf.Density(i) < 1 && hf.Counts[i] > 0 {
@@ -437,7 +438,7 @@ func TestBinningString(t *testing.T) {
 }
 
 func TestHist1DWriteCSV(t *testing.T) {
-	h, err := Compute1D("px", []float64{0.1, 0.6, 0.7}, UniformEdges(0, 1, 2))
+	h, err := Compute1DCtx(context.Background(), "px", []float64{0.1, 0.6, 0.7}, UniformEdges(0, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -287,7 +287,7 @@ func (b *Builder) BuildStep(t int) (int64, error) {
 			f.Close()
 			return 0, fastquery.Fatalf("ingest: step %d: no column %q", t, name)
 		}
-		col, err := f.ReadAsFloat64(name)
+		col, err := f.ReadAsFloat64Cost(name, nil)
 		if err != nil {
 			f.Close()
 			return 0, fmt.Errorf("ingest: step %d: %w", t, err)
@@ -296,7 +296,7 @@ func (b *Builder) BuildStep(t int) (int64, error) {
 	}
 	var ids []int64
 	if f.HasColumn(idVar) {
-		if ids, err = f.ReadInt64(idVar); err != nil {
+		if ids, err = f.ReadInt64Cost(idVar, nil); err != nil {
 			f.Close()
 			return 0, fmt.Errorf("ingest: step %d: %w", t, err)
 		}

@@ -11,6 +11,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/fastquery"
@@ -135,8 +136,9 @@ func (pl *Pipeline) executeSource(step int, c *Contract) (*Payload, error) {
 	defer st.Close()
 	p := &Payload{Step: step, Rows: st.Rows()}
 
+	ctx := context.Background()
 	for _, spec := range c.Hist2D {
-		h, err := st.Histogram2D(c.Restriction, spec, pl.backend)
+		h, err := st.Histogram2DCtx(ctx, c.Restriction, spec, pl.backend)
 		if err != nil {
 			return nil, err
 		}
@@ -147,14 +149,14 @@ func (pl *Pipeline) executeSource(step int, c *Contract) (*Payload, error) {
 		if c.Restriction == nil {
 			return nil, fmt.Errorf("subset extraction requires a restriction query")
 		}
-		pos, err := st.Select(c.Restriction, pl.backend)
+		pos, err := st.SelectCtx(ctx, c.Restriction, pl.backend)
 		if err != nil {
 			return nil, err
 		}
 		p.Positions = pos
 	}
 	if c.NeedIDs {
-		ids, err := st.SelectIDs(c.Restriction, pl.backend)
+		ids, err := st.IDsAtCtx(ctx, p.Positions)
 		if err != nil {
 			return nil, err
 		}

@@ -51,8 +51,8 @@ func TestScanChecksContextMidLoop(t *testing.T) {
 	// Trip after the second probe: the loop passes checkpoints at rows 0
 	// and CheckpointRows, then must abort at 2*CheckpointRows.
 	ctx := &trippingCtx{Context: context.Background(), after: 2}
-	if _, err := CountCtx(ctx, c, e); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CountCtx err = %v, want context.Canceled", err)
+	if _, err := SelectCtx(ctx, c, e); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SelectCtx err = %v, want context.Canceled", err)
 	}
 	// The loop stopped at the first checkpoint past the trip: exactly one
 	// more probe than the allowance, not one per remaining interval.
@@ -100,7 +100,7 @@ func TestCanceledContextStopsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := CountCtx(ctx, c, e); !errors.Is(err, context.Canceled) {
+	if _, err := SelectCtx(ctx, c, e); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The full scan takes milliseconds; an aborted one must be far under

@@ -10,19 +10,14 @@ import (
 	"repro/internal/query"
 )
 
-// ParallelHistogram2D computes a conditional 2D histogram by sharding the
-// rows across workers and merging per-shard partial histograms — the SMP
-// conditional-histogram algorithm family of Stockinger et al. that the
+// ParallelHistogram2DCtx computes a conditional 2D histogram by sharding
+// the rows across workers and merging per-shard partial histograms — the
+// SMP conditional-histogram algorithm family of Stockinger et al. that the
 // paper cites as its predecessor for accelerating data mining (Section
 // II-C). Edges must be fixed up front so the partials merge exactly.
-// workers <= 0 selects GOMAXPROCS.
-func ParallelHistogram2D(c Columns, xvar, yvar string, cond query.Expr, xEdges, yEdges []float64, workers int) (*histogram.Hist2D, error) {
-	return ParallelHistogram2DCtx(context.Background(), c, xvar, yvar, cond, xEdges, yEdges, workers)
-}
-
-// ParallelHistogram2DCtx is ParallelHistogram2D with cooperative
-// cancellation: every shard worker observes ctx at its own checkpoint
-// interval, so a canceled histogram releases all cores promptly.
+// workers <= 0 selects GOMAXPROCS. Cancellation is cooperative: every
+// shard worker observes ctx at its own checkpoint interval, so a canceled
+// histogram releases all cores promptly.
 func ParallelHistogram2DCtx(ctx context.Context, c Columns, xvar, yvar string, cond query.Expr, xEdges, yEdges []float64, workers int) (*histogram.Hist2D, error) {
 	xs, ok := c[xvar]
 	if !ok {

@@ -80,14 +80,9 @@ func ValidateVars(c Columns, e query.Expr) error {
 	return nil
 }
 
-// Select returns the sorted row positions matching the expression, by
-// evaluating it against every record.
-func Select(c Columns, e query.Expr) ([]uint64, error) {
-	return SelectCtx(context.Background(), c, e)
-}
-
-// SelectCtx is Select with cooperative cancellation: the scan aborts with
-// ctx.Err() within CheckpointRows rows of ctx being canceled.
+// SelectCtx returns the sorted row positions matching the expression, by
+// evaluating it against every record. The scan aborts with ctx.Err()
+// within CheckpointRows rows of ctx being canceled.
 func SelectCtx(ctx context.Context, c Columns, e query.Expr) ([]uint64, error) {
 	if err := ValidateVars(c, e); err != nil {
 		return nil, err
@@ -113,13 +108,10 @@ func SelectCtx(ctx context.Context, c Columns, e query.Expr) ([]uint64, error) {
 	return out, nil
 }
 
-// Count returns the number of records matching the expression.
+// Count returns the number of records matching the expression. It is the
+// one scan entry point without a context: with no trace or cost to feed
+// and nothing to cancel, the pass runs to completion.
 func Count(c Columns, e query.Expr) (uint64, error) {
-	return CountCtx(context.Background(), c, e)
-}
-
-// CountCtx is Count with cooperative cancellation.
-func CountCtx(ctx context.Context, c Columns, e query.Expr) (uint64, error) {
 	if err := ValidateVars(c, e); err != nil {
 		return 0, err
 	}
@@ -127,38 +119,22 @@ func CountCtx(ctx context.Context, c Columns, e query.Expr) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ctx, sp := startScanSpan(ctx, "scan-count", n)
 	start := time.Now()
 	var cnt uint64
 	for row := 0; row < n; row++ {
-		if err := checkpoint(ctx, row); err != nil {
-			sp.End()
-			return 0, err
-		}
 		if e.Eval(c.getter(row)) {
 			cnt++
 		}
 	}
-	observeScan(ctx, n, time.Since(start).Seconds())
-	sp.End()
+	observeScan(context.Background(), n, time.Since(start).Seconds())
 	return cnt, nil
 }
 
-// Histogram2D computes an unconditional 2D histogram with a full pass over
-// the two columns. Bin counts use a slice-of-slices layout, mirroring the
-// paper's description of the custom code's memory organisation.
-func Histogram2D(c Columns, xvar, yvar string, xEdges, yEdges []float64) (*histogram.Hist2D, error) {
-	return ConditionalHistogram2D(c, xvar, yvar, nil, xEdges, yEdges)
-}
-
-// ConditionalHistogram2D computes a 2D histogram restricted to records
-// matching cond (pass nil for unconditional). Every record is visited.
-func ConditionalHistogram2D(c Columns, xvar, yvar string, cond query.Expr, xEdges, yEdges []float64) (*histogram.Hist2D, error) {
-	return ConditionalHistogram2DCtx(context.Background(), c, xvar, yvar, cond, xEdges, yEdges)
-}
-
-// ConditionalHistogram2DCtx is ConditionalHistogram2D with cooperative
-// cancellation at CheckpointRows intervals.
+// ConditionalHistogram2DCtx computes a 2D histogram restricted to records
+// matching cond (pass nil for unconditional), with cooperative
+// cancellation at CheckpointRows intervals. Every record is visited. Bin
+// counts use a slice-of-slices layout, mirroring the paper's description
+// of the custom code's memory organisation.
 func ConditionalHistogram2DCtx(ctx context.Context, c Columns, xvar, yvar string, cond query.Expr, xEdges, yEdges []float64) (*histogram.Hist2D, error) {
 	xs, ok := c[xvar]
 	if !ok {
@@ -222,13 +198,8 @@ func ConditionalHistogram2DCtx(ctx context.Context, c Columns, xvar, yvar string
 	return h, nil
 }
 
-// Histogram1D computes a conditional 1D histogram by full scan; cond may
-// be nil.
-func Histogram1D(c Columns, v string, cond query.Expr, edges []float64) (*histogram.Hist1D, error) {
-	return Histogram1DCtx(context.Background(), c, v, cond, edges)
-}
-
-// Histogram1DCtx is Histogram1D with cooperative cancellation.
+// Histogram1DCtx computes a conditional 1D histogram by full scan, with
+// cooperative cancellation; cond may be nil.
 func Histogram1DCtx(ctx context.Context, c Columns, v string, cond query.Expr, edges []float64) (*histogram.Hist1D, error) {
 	vs, ok := c[v]
 	if !ok {
@@ -280,15 +251,10 @@ func MinMax(values []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// FindIDs returns the sorted row positions whose identifier appears in
+// FindIDsCtx returns the sorted row positions whose identifier appears in
 // searchSet, using the paper's custom algorithm: one pass over all N
 // records, binary-searching each identifier in the sorted set — O(N log S).
-func FindIDs(ids []int64, searchSet []int64) []uint64 {
-	out, _ := FindIDsCtx(context.Background(), ids, searchSet)
-	return out
-}
-
-// FindIDsCtx is FindIDs with cooperative cancellation.
+// Cancellation is cooperative at CheckpointRows intervals.
 func FindIDsCtx(ctx context.Context, ids []int64, searchSet []int64) ([]uint64, error) {
 	set := append([]int64(nil), searchSet...)
 	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })

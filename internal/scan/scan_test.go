@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -28,7 +29,7 @@ func TestSelect(t *testing.T) {
 		"y":  {-1, 1, 1, -1},
 	}
 	e := query.MustParse("px > 2 && y > 0")
-	got, err := Select(c, e)
+	got, err := SelectCtx(context.Background(), c, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestSelect(t *testing.T) {
 
 func TestSelectUnknownVariable(t *testing.T) {
 	c := Columns{"px": {1}}
-	if _, err := Select(c, query.MustParse("nope > 0")); err == nil {
+	if _, err := SelectCtx(context.Background(), c, query.MustParse("nope > 0")); err == nil {
 		t.Fatal("unknown variable accepted")
 	}
 	if _, err := Count(c, query.MustParse("nope > 0")); err == nil {
@@ -49,7 +50,7 @@ func TestSelectUnknownVariable(t *testing.T) {
 
 func TestSelectMismatchedColumns(t *testing.T) {
 	c := Columns{"a": {1, 2}, "b": {1}}
-	if _, err := Select(c, query.MustParse("a > 0 && b > 0")); err == nil {
+	if _, err := SelectCtx(context.Background(), c, query.MustParse("a > 0 && b > 0")); err == nil {
 		t.Fatal("ragged columns accepted")
 	}
 }
@@ -58,7 +59,7 @@ func TestCountMatchesSelectProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		c := testColumns(500, seed)
 		e := query.MustParse("px > 0 && x < 5")
-		sel, err := Select(c, e)
+		sel, err := SelectCtx(context.Background(), c, e)
 		if err != nil {
 			return false
 		}
@@ -77,7 +78,7 @@ func TestHistogram2DMatchesGenericCompute(t *testing.T) {
 	c := testColumns(5000, 7)
 	xe := histogram.UniformEdges(0, 10, 32)
 	ye := histogram.UniformEdges(-1, 1, 16)
-	got, err := Histogram2D(c, "x", "y", xe, ye)
+	got, err := ConditionalHistogram2DCtx(context.Background(), c, "x", "y", nil, xe, ye)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestConditionalHistogram2D(t *testing.T) {
 	}
 	xe := histogram.UniformEdges(0, 4, 4)
 	ye := histogram.UniformEdges(0, 1, 1)
-	h, err := ConditionalHistogram2D(c, "x", "y", query.MustParse("px > 0"), xe, ye)
+	h, err := ConditionalHistogram2DCtx(context.Background(), c, "x", "y", query.MustParse("px > 0"), xe, ye)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,28 +109,28 @@ func TestConditionalHistogram2D(t *testing.T) {
 		t.Fatalf("conditional counts = %v", h.Counts)
 	}
 	// Condition referencing missing variable errors.
-	if _, err := ConditionalHistogram2D(c, "x", "y", query.MustParse("zz > 0"), xe, ye); err == nil {
+	if _, err := ConditionalHistogram2DCtx(context.Background(), c, "x", "y", query.MustParse("zz > 0"), xe, ye); err == nil {
 		t.Fatal("bad condition accepted")
 	}
 	// Unknown plot variables error.
-	if _, err := ConditionalHistogram2D(c, "zz", "y", nil, xe, ye); err == nil {
+	if _, err := ConditionalHistogram2DCtx(context.Background(), c, "zz", "y", nil, xe, ye); err == nil {
 		t.Fatal("unknown x var accepted")
 	}
-	if _, err := ConditionalHistogram2D(c, "x", "zz", nil, xe, ye); err == nil {
+	if _, err := ConditionalHistogram2DCtx(context.Background(), c, "x", "zz", nil, xe, ye); err == nil {
 		t.Fatal("unknown y var accepted")
 	}
 }
 
 func TestHistogram1D(t *testing.T) {
 	c := Columns{"px": {0.1, 0.2, 0.7, 0.9}, "y": {1, -1, 1, 1}}
-	h, err := Histogram1D(c, "px", query.MustParse("y > 0"), histogram.UniformEdges(0, 1, 2))
+	h, err := Histogram1DCtx(context.Background(), c, "px", query.MustParse("y > 0"), histogram.UniformEdges(0, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Counts[0] != 1 || h.Counts[1] != 2 {
 		t.Fatalf("1D counts = %v", h.Counts)
 	}
-	if _, err := Histogram1D(c, "nope", nil, histogram.UniformEdges(0, 1, 2)); err == nil {
+	if _, err := Histogram1DCtx(context.Background(), c, "nope", nil, histogram.UniformEdges(0, 1, 2)); err == nil {
 		t.Fatal("unknown var accepted")
 	}
 }
@@ -147,22 +148,26 @@ func TestMinMax(t *testing.T) {
 
 func TestFindIDs(t *testing.T) {
 	ids := []int64{100, 50, 200, 50, 300}
-	got := FindIDs(ids, []int64{50, 300, 999})
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 4 {
-		t.Fatalf("FindIDs = %v", got)
+	ctx := context.Background()
+	got, err := FindIDsCtx(ctx, ids, []int64{50, 300, 999})
+	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 4 {
+		t.Fatalf("FindIDsCtx = %v, %v", got, err)
 	}
-	if got := FindIDs(ids, nil); len(got) != 0 {
-		t.Fatalf("empty set FindIDs = %v", got)
+	if got, err := FindIDsCtx(ctx, ids, nil); err != nil || len(got) != 0 {
+		t.Fatalf("empty set FindIDsCtx = %v, %v", got, err)
 	}
-	if got := FindIDs(nil, []int64{1}); len(got) != 0 {
-		t.Fatalf("empty ids FindIDs = %v", got)
+	if got, err := FindIDsCtx(ctx, nil, []int64{1}); err != nil || len(got) != 0 {
+		t.Fatalf("empty ids FindIDsCtx = %v, %v", got, err)
 	}
 }
 
-// Property: FindIDs returns exactly the rows whose id is in the set.
+// Property: FindIDsCtx returns exactly the rows whose id is in the set.
 func TestFindIDsProperty(t *testing.T) {
 	f := func(rawIDs []int64, rawSet []int64) bool {
-		got := FindIDs(rawIDs, rawSet)
+		got, err := FindIDsCtx(context.Background(), rawIDs, rawSet)
+		if err != nil {
+			return false
+		}
 		want := map[int64]bool{}
 		for _, id := range rawSet {
 			want[id] = true
@@ -188,12 +193,12 @@ func TestParallelHistogram2DMatchesSerial(t *testing.T) {
 	xe := histogram.UniformEdges(0, 10, 64)
 	ye := histogram.UniformEdges(-1, 1, 64)
 	cond := query.MustParse("px > 0")
-	want, err := ConditionalHistogram2D(c, "x", "y", cond, xe, ye)
+	want, err := ConditionalHistogram2DCtx(context.Background(), c, "x", "y", cond, xe, ye)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 2, 3, 7, 16} {
-		got, err := ParallelHistogram2D(c, "x", "y", cond, xe, ye, workers)
+		got, err := ParallelHistogram2DCtx(context.Background(), c, "x", "y", cond, xe, ye, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -212,7 +217,7 @@ func TestParallelHistogram2DMoreWorkersThanRows(t *testing.T) {
 	c := testColumns(50, 11)
 	xe := histogram.UniformEdges(0, 10, 4)
 	ye := histogram.UniformEdges(-1, 1, 4)
-	h, err := ParallelHistogram2D(c, "x", "y", nil, xe, ye, 1000)
+	h, err := ParallelHistogram2DCtx(context.Background(), c, "x", "y", nil, xe, ye, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,17 +230,17 @@ func TestParallelHistogram2DValidation(t *testing.T) {
 	c := testColumns(100, 10)
 	xe := histogram.UniformEdges(0, 10, 4)
 	ye := histogram.UniformEdges(-1, 1, 4)
-	if _, err := ParallelHistogram2D(c, "zz", "y", nil, xe, ye, 2); err == nil {
+	if _, err := ParallelHistogram2DCtx(context.Background(), c, "zz", "y", nil, xe, ye, 2); err == nil {
 		t.Fatal("unknown x accepted")
 	}
-	if _, err := ParallelHistogram2D(c, "x", "zz", nil, xe, ye, 2); err == nil {
+	if _, err := ParallelHistogram2DCtx(context.Background(), c, "x", "zz", nil, xe, ye, 2); err == nil {
 		t.Fatal("unknown y accepted")
 	}
-	if _, err := ParallelHistogram2D(c, "x", "y", query.MustParse("zz > 0"), xe, ye, 2); err == nil {
+	if _, err := ParallelHistogram2DCtx(context.Background(), c, "x", "y", query.MustParse("zz > 0"), xe, ye, 2); err == nil {
 		t.Fatal("bad condition accepted")
 	}
 	bad := Columns{"x": {1, 2}, "y": {1}}
-	if _, err := ParallelHistogram2D(bad, "x", "y", nil, xe, ye, 2); err == nil {
+	if _, err := ParallelHistogram2DCtx(context.Background(), bad, "x", "y", nil, xe, ye, 2); err == nil {
 		t.Fatal("ragged columns accepted")
 	}
 }
@@ -247,7 +252,7 @@ func TestParallelHistogramMassProperty(t *testing.T) {
 		c := testColumns(1000, seed)
 		xe := histogram.UniformEdges(0, 10, 8)
 		ye := histogram.UniformEdges(-1, 1, 8)
-		h, err := ParallelHistogram2D(c, "x", "y", nil, xe, ye, workers)
+		h, err := ParallelHistogram2DCtx(context.Background(), c, "x", "y", nil, xe, ye, workers)
 		if err != nil {
 			return false
 		}

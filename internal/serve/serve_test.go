@@ -165,6 +165,42 @@ func TestHandlerErrors(t *testing.T) {
 	}
 }
 
+// TestDuplicateStepsRejected: a steps list naming a step twice is a 400
+// on both multi-step endpoints, so one request runs at most Steps() plans
+// instead of one uncached plan per listed entry.
+func TestDuplicateStepsRejected(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	var created struct {
+		ID string `json:"id"`
+	}
+	if code, raw, _ := sessPost(t, ts, "/v1/session", &created); code != 200 {
+		t.Fatalf("create session: %d %s", code, raw)
+	}
+	if code, raw, _ := sessPost(t, ts, selectPath(created.ID, 1, "px > 0.05", ""), nil); code != 200 {
+		t.Fatalf("select: %d %s", code, raw)
+	}
+	track := "/v1/session/" + created.ID + "/track?steps="
+	for _, steps := range []string{"0,0", "1,2,1", "3,%200,3"} {
+		var e ErrorBody
+		path := "/v1/sweep2d?x=x&y=px&xbins=8&ybins=8&steps=" + steps
+		if code, raw := get(t, ts, path, &e); code != 400 || !strings.Contains(e.Error, "listed twice") {
+			t.Fatalf("GET %s = %d %s, want 400 listed twice", path, code, raw)
+		}
+		if code, raw, _ := sessPost(t, ts, track+steps, nil); code != 400 || !strings.Contains(raw, "listed twice") {
+			t.Fatalf("POST %s = %d %s, want 400 listed twice", track+steps, code, raw)
+		}
+	}
+	// Distinct lists and ranges still run.
+	var sweep Sweep2DBody
+	if code, raw := get(t, ts, "/v1/sweep2d?x=x&y=px&xbins=8&ybins=8&steps=2,0", &sweep); code != 200 || len(sweep.Steps) != 2 {
+		t.Fatalf("distinct sweep: %d %s", code, raw)
+	}
+	var tr SessionTrackBody
+	if code, raw, _ := sessPost(t, ts, track+"0-2", &tr); code != 200 || len(tr.Steps) != 3 {
+		t.Fatalf("range track: %d %s", code, raw)
+	}
+}
+
 // TestBackendsAgree drives the drill-down loop over HTTP and checks the
 // fastbit and scan backends return identical results.
 func TestBackendsAgree(t *testing.T) {

@@ -1395,7 +1395,8 @@ func (s *Server) serveHist2D(w http.ResponseWriter, r *http.Request, req *reques
 }
 
 // stepsParam parses the steps parameter for sweeps: "" (all steps),
-// "a-b" (inclusive range), or a comma-separated list.
+// "a-b" (inclusive range), or a comma-separated list. A list naming a
+// step twice is rejected, so one request runs at most Steps() plans.
 func stepsParam(r *http.Request, d *dataset) ([]int, *httpError) {
 	n := d.src.Steps()
 	raw := r.FormValue("steps")
@@ -1431,6 +1432,7 @@ func stepsParam(r *http.Request, d *dataset) ([]int, *httpError) {
 		return out, nil
 	}
 	var out []int
+	seen := map[int]bool{}
 	for _, f := range strings.Split(raw, ",") {
 		t, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
@@ -1439,6 +1441,10 @@ func stepsParam(r *http.Request, d *dataset) ([]int, *httpError) {
 		if herr := check(t); herr != nil {
 			return nil, herr
 		}
+		if seen[t] {
+			return nil, errf(http.StatusBadRequest, "step %d listed twice", t)
+		}
+		seen[t] = true
 		out = append(out, t)
 	}
 	return out, nil

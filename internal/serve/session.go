@@ -577,12 +577,18 @@ func (s *Server) handleSessionTrack(w http.ResponseWriter, r *http.Request) {
 
 // viewVars resolves the axis variables for a views request: an explicit
 // comma-separated list, or the dataset's first variables (sorted, ID
-// column dropped, capped at four).
+// column dropped, capped at four). A list naming a variable twice is
+// rejected, so the dataset's variable count bounds the axes.
 func viewVars(r *http.Request, d *dataset, idVar string) ([]string, *httpError) {
 	if raw := r.FormValue("vars"); raw != "" {
 		vars := strings.Split(raw, ",")
+		seen := map[string]bool{}
 		for i := range vars {
 			vars[i] = strings.TrimSpace(vars[i])
+			if seen[vars[i]] {
+				return nil, errf(http.StatusBadRequest, "view variable %q listed twice", vars[i])
+			}
+			seen[vars[i]] = true
 		}
 		if herr := checkVars(d, vars...); herr != nil {
 			return nil, herr

@@ -287,6 +287,33 @@ func TestSessionValidation(t *testing.T) {
 	}
 }
 
+// TestSessionViewsRejectDuplicateVars: a views request naming an axis
+// variable twice is a 400 in both formats, so the dataset's variable
+// count bounds the axes (and the histograms) one request can ask for.
+func TestSessionViewsRejectDuplicateVars(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	var created struct {
+		ID string `json:"id"`
+	}
+	if code, raw, _ := sessPost(t, ts, "/v1/session", &created); code != 200 {
+		t.Fatalf("create session: %d %s", code, raw)
+	}
+	if code, raw, _ := sessPost(t, ts, selectPath(created.ID, 2, "px > 0.05", ""), nil); code != 200 {
+		t.Fatalf("select: %d %s", code, raw)
+	}
+	views := "/v1/session/" + created.ID + "/views?vars="
+	for _, q := range []string{"px,px", "px,y,px", "x,%20x", "px,y,px&format=png"} {
+		var e ErrorBody
+		if code, raw := get(t, ts, views+q, &e); code != 400 || !strings.Contains(e.Error, "listed twice") {
+			t.Fatalf("views %s: %d %s, want 400 listed twice", q, code, raw)
+		}
+	}
+	var body SessionViewsBody
+	if code, raw := get(t, ts, views+"px,y", &body); code != 200 || len(body.Panels) != 2 {
+		t.Fatalf("distinct views: %d %s", code, raw)
+	}
+}
+
 // TestSessionPartialNeverStored is the store-or-reject rule end to end:
 // with a shard dead, a select still answers (marked partial via body and
 // X-Partial) but the partial selection is never stored, and a track over

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -63,7 +64,7 @@ func TestHistQuantileMatchesExactOnLargeSamples(t *testing.T) {
 	for i := range vals {
 		vals[i] = rng.NormFloat64()
 	}
-	h, err := histogram.Compute1D("v", vals, histogram.UniformEdges(-5, 5, 500))
+	h, err := histogram.Compute1DCtx(context.Background(), "v", vals, histogram.UniformEdges(-5, 5, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
